@@ -42,7 +42,6 @@ from .simulator import (
     Circuit,
     CircuitStep,
     apply_gate,
-    apply_tensor_gate_matrixenc,
     basis_probabilities,
     run_circuit,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "StateKind",
     "SynthesizedGate",
     "apply_gate",
-    "apply_tensor_gate_matrixenc",
     "basis_probabilities",
     "builtin_encoding",
     "classify_bipartite",

@@ -11,11 +11,11 @@ import os
 import sys
 
 from . import io as qio
-from .encodings import BUILTIN_ENCODINGS, Encoding, builtin_encoding
 from .entanglement import classify_bipartite, schmidt
 from .linalg import ConvergenceError, principal_unitary_sqrt
 from .simulator import basis_probabilities, run_circuit
 from .synthesis import (
+    NAMED_GATES,
     ClassicalFunction,
     enumerate_permutation_quantizations,
     named_gate,
@@ -32,21 +32,8 @@ _GATE_HELP = (
 )
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _encoding(ref: str) -> Encoding:
-    if ref in BUILTIN_ENCODINGS:
-        return builtin_encoding(ref)
-    return qio.parse_encoding_file(
-        _read(ref), name=os.path.splitext(os.path.basename(ref))[0]
-    )
-
-
 def _load_table(path: str) -> ClassicalFunction:
-    return qio.parse_truth_table(_read(path))
+    return qio.parse_truth_table(qio._read_file(path))
 
 
 def _print_matrix(m) -> None:
@@ -63,7 +50,7 @@ def _index_digits(i: int, d: int, n: int) -> str:
 
 def cmd_synth(args) -> int:
     f = _load_table(args.table)
-    enc = _encoding(args.encoding)
+    enc = qio._resolve_encoding(args.encoding)
     if f.is_reversible:
         gate = quantize_reversible(f, enc)
     else:
@@ -73,17 +60,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_sqrt(args) -> int:
-    enc = _encoding(args.encoding)
-    if args.matrix_or_name in ("NOT", "SQRT_NOT", "H", "CNOT", "SWAP"):
+    enc = qio._resolve_encoding(args.encoding)
+    if args.matrix_or_name in NAMED_GATES:
         m = named_gate(args.matrix_or_name, enc)
     else:
-        m = qio.parse_matrix(_read(args.matrix_or_name))
+        m = qio.parse_matrix(qio._read_file(args.matrix_or_name))
     _print_matrix(principal_unitary_sqrt(m))
     return 0
 
 
 def cmd_run(args) -> int:
-    doc = qio.parse_circuit(_read(args.circuit), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
+    doc = qio.parse_circuit(qio._read_file(args.circuit), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
     state = run_circuit(doc.to_circuit(), args.input)
     d = doc.encoding.ambient_dim
     print("amplitudes:")
@@ -99,10 +86,12 @@ def cmd_schmidt(args) -> int:
     try:
         dim_a, dim_b = (int(x) for x in args.dims.split(","))
     except ValueError:
+        dim_a = dim_b = 0
+    if dim_a < 1 or dim_b < 1:
         raise qio.ParseError(
-            [qio.Diagnostic(1, 1, f"--dims expects 'A,B' with integers, got {args.dims!r}")]
-        ) from None
-    vec = qio.parse_state(_read(args.state))
+            [qio.Diagnostic(1, 1, f"--dims expects 'A,B' with positive integers, got {args.dims!r}")]
+        )
+    vec = qio.parse_state(qio._read_file(args.state))
     result = schmidt(vec, dim_a, dim_b)
     verdict = classify_bipartite(vec, dim_a, dim_b)
     print("coefficients:", " ".join(repr(float(c)) for c in result.coefficients))
@@ -113,7 +102,7 @@ def cmd_schmidt(args) -> int:
 
 def cmd_enumerate(args) -> int:
     f = _load_table(args.table)
-    enc = _encoding(args.encoding)
+    enc = qio._resolve_encoding(args.encoding)
     matrices = enumerate_permutation_quantizations(f, enc)
     print("count:", len(matrices))
     for m in matrices:
@@ -123,9 +112,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    m = qio.parse_matrix(_read(args.matrix))
+    m = qio.parse_matrix(qio._read_file(args.matrix))
     f = _load_table(args.table)
-    enc = _encoding(args.encoding)
+    enc = qio._resolve_encoding(args.encoding)
     report = quantization_report(m, f, enc, args.tol)
     print("verdict:", "true" if report.ok else "false")
     print(f"unitarity residual: {report.unitarity_residual:.3e}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector, kron
+from .linalg import as_array, kron
 
 __all__ = [
     "Encoding",
@@ -26,7 +26,6 @@ __all__ = [
     "builtin_encoding",
     "encode_bits",
     "logical_subspace",
-    "logical_span",
     "fixed_complement",
     "classify_state",
 ]
@@ -44,17 +43,19 @@ def _as_basis(vectors, dim: int) -> np.ndarray:
         out = np.zeros((dim, 0), dtype=np.complex128)
         out.setflags(write=False)
         return out
-    out = np.column_stack([as_vector(c) for c in cols])
+    out = np.column_stack([as_array(c, 1) for c in cols])
     if out.shape[0] != dim:
         raise ValueError(f"basis vectors have dimension {out.shape[0]}, expected {dim}")
     out.setflags(write=False)
     return out
 
 
-def _check_bits(bits: str) -> str:
-    if not bits or set(bits) - {"0", "1"}:
-        raise ValueError(f"expected a nonempty bit string of 0s and 1s, got {bits!r}")
-    return bits
+def _check_bits(bits: str, length: int | None = None, what: str = "input") -> None:
+    """Reject anything but a nonempty string of 0s and 1s, of `length`
+    characters when given."""
+    if not bits or set(bits) - {"0", "1"} or length not in (None, len(bits)):
+        kind = "nonempty bit string" if length is None else f"bit string of length {length}"
+        raise ValueError(f"{what} must be a {kind}, got {bits!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +85,8 @@ class Encoding:
             and np.array_equal(self.fixed, other.fixed)
         )
 
-    __hash__ = object.__hash__
+    def __hash__(self):
+        return hash((self.ambient_dim, self.bit_dim, self.fixed.shape[1]))
 
     def __post_init__(self):
         d = self.ambient_dim
@@ -137,7 +139,7 @@ class QuantumState:
     subsystem_count: int
 
     def __post_init__(self):
-        amps = as_vector(self.amplitudes).copy()
+        amps = as_array(self.amplitudes, 1).copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if self.subsystem_count < 1:
@@ -177,65 +179,36 @@ class StateClassification:
         return self.kind.value
 
 
-def _qubit() -> Encoding:
-    return Encoding("qubit", 2, [[1, 0]], [[0, 1]])
+_S = 1 / np.sqrt(2)
+_QUQUART = ([[1, 0, 0, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]])
 
-
-def _qutrit() -> Encoding:
-    return Encoding("qutrit", 3, [[1, 0, 0]], [[0, 0, 1]], [[0, 1, 0]])
-
-
-def _ququart() -> Encoding:
-    return Encoding(
-        "ququart",
-        4,
-        [[1, 0, 0, 0], [0, 0, 0, 1]],
-        [[0, 1, 0, 0], [0, 0, 1, 0]],
-    )
-
-
-def _matrix2() -> Encoding:
+# name -> (basis0, basis1[, fixed]) as lists of basis vectors.
+_BUILTIN_BASES = {
+    "qubit": ([[1, 0]], [[0, 1]]),
+    "qutrit": ([[1, 0, 0]], [[0, 0, 1]], [[0, 1, 0]]),
+    "ququart": _QUQUART,
     # Row-major flattening of the matrix-unit spans {E11, E22} and {E12, E21}.
-    return Encoding(
-        "matrix2",
-        4,
-        [[1, 0, 0, 0], [0, 0, 0, 1]],
-        [[0, 1, 0, 0], [0, 0, 1, 0]],
-    )
-
-
-def _pauli() -> Encoding:
+    "matrix2": _QUQUART,
     # Flattened spans {I, X} for 0 and {Y, Z} for 1, scaled to unit
     # Hilbert-Schmidt norm.
-    s = 1 / np.sqrt(2)
-    return Encoding(
-        "pauli",
-        4,
-        [[s, 0, 0, s], [0, s, s, 0]],
-        [[0, -1j * s, 1j * s, 0], [s, 0, 0, -s]],
-    )
-
-
-BUILTIN_ENCODINGS = ("qubit", "qutrit", "ququart", "matrix2", "pauli")
-
-_BUILTIN_FACTORIES = {
-    "qubit": _qubit,
-    "qutrit": _qutrit,
-    "ququart": _ququart,
-    "matrix2": _matrix2,
-    "pauli": _pauli,
+    "pauli": (
+        [[_S, 0, 0, _S], [0, _S, _S, 0]],
+        [[0, -1j * _S, 1j * _S, 0], [_S, 0, 0, -_S]],
+    ),
 }
+
+BUILTIN_ENCODINGS = tuple(_BUILTIN_BASES)
 
 
 def builtin_encoding(name: str) -> Encoding:
     """Return one of the built-in encodings by name."""
     try:
-        factory = _BUILTIN_FACTORIES[name]
+        bases = _BUILTIN_BASES[name]
     except KeyError:
         raise ValueError(
             f"unknown encoding {name!r}; expected one of {', '.join(BUILTIN_ENCODINGS)}"
         ) from None
-    return factory()
+    return Encoding(name, len(bases[0][0]), *bases)
 
 
 def encode_bits(enc: Encoding, bits: str) -> QuantumState:
@@ -264,36 +237,22 @@ def logical_subspace(enc: Encoding, bits: str) -> np.ndarray:
     return cols
 
 
-def logical_span(enc: Encoding, n: int) -> np.ndarray:
-    """Orthonormal basis of the span of all n-bit logical subspaces."""
-    cols = np.hstack([enc.basis0, enc.basis1])
-    out = cols
-    for _ in range(n - 1):
-        out = kron(out, cols)
-    return out
-
-
 def fixed_complement(enc: Encoding, n: int) -> np.ndarray:
     """Orthonormal basis of the complement gates must fix: all ambient product
-    basis vectors with a fixed-complement direction on at least one factor."""
+    basis vectors with a fixed-complement direction on at least one factor.
+
+    Columns are the n-fold Kronecker products of the per-factor columns of
+    [basis0 | basis1 | fixed], in lexicographic order of the factor labels.
+    """
     d = enc.ambient_dim
-    logical = np.hstack([enc.basis0, enc.basis1])
-    full = np.hstack([logical, enc.fixed])
-    k_log = logical.shape[1]
-    out_cols = []
-
-    def walk(vec, any_fixed, depth):
-        if depth == n:
-            if any_fixed:
-                out_cols.append(vec)
-            return
-        for j in range(d):
-            walk(kron(vec, full[:, j]), any_fixed or j >= k_log, depth + 1)
-
-    walk(np.ones(1, dtype=np.complex128), False, 0)
-    if not out_cols:
+    if enc.fixed.shape[1] == 0:
         return np.zeros((d**n, 0), dtype=np.complex128)
-    return np.column_stack(out_cols)
+    full = np.hstack([enc.basis0, enc.basis1, enc.fixed])
+    power = full
+    for _ in range(n - 1):
+        power = kron(power, full)
+    labels = np.indices((d,) * n).reshape(n, -1)
+    return power[:, (labels >= 2 * enc.bit_dim).any(axis=0)]
 
 
 def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassification:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import QuantumState
-from .linalg import as_vector, svd, unres
+from .linalg import as_array, svd, unres
 
 __all__ = [
     "SchmidtResult",
@@ -32,7 +32,7 @@ RANK_TOL = 1e-10
 def _amplitudes(s) -> np.ndarray:
     if isinstance(s, QuantumState):
         return s.amplitudes
-    return as_vector(s)
+    return as_array(s, 1)
 
 
 @dataclass(frozen=True, eq=False)

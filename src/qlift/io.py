@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encodings import BUILTIN_ENCODINGS, Encoding, builtin_encoding
-from .linalg import as_matrix, as_vector
+from .linalg import as_array
 from .simulator import Circuit, CircuitStep
-from .synthesis import ClassicalFunction, controlled, named_gate
+from .synthesis import NAMED_GATES, ClassicalFunction, controlled, named_gate
 
 __all__ = [
     "Diagnostic",
@@ -140,7 +140,7 @@ def _tokens(content: str):
 
 
 def format_matrix(m) -> str:
-    a = as_matrix(m)
+    a = as_array(m, 2)
     return "\n".join(" ".join(format_complex(z) for z in row) for row in a)
 
 
@@ -169,7 +169,7 @@ def parse_matrix(text: str) -> np.ndarray:
     rows, diagnostics = _parse_rows(text)
     if diagnostics:
         raise ParseError(diagnostics)
-    return as_matrix(np.array(rows, dtype=np.complex128))
+    return as_array(np.array(rows, dtype=np.complex128), 2)
 
 
 def parse_state(text: str) -> np.ndarray:
@@ -177,7 +177,7 @@ def parse_state(text: str) -> np.ndarray:
     rows, diagnostics = _parse_rows(text)
     if diagnostics:
         raise ParseError(diagnostics)
-    return as_vector(np.array([z for row in rows for z in row], dtype=np.complex128))
+    return as_array(np.array([z for row in rows for z in row], dtype=np.complex128), 1)
 
 
 _BITS_RE = re.compile(r"^[01]+$")
@@ -293,41 +293,28 @@ def parse_encoding_file(text: str, name: str = "custom") -> Encoding:
         raise ParseError([Diagnostic(header_ln, 1, str(exc))]) from exc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Statement:
-    """One parsed circuit statement with its resolved gate matrix."""
+    """One parsed circuit statement with its resolved gate matrix.
+
+    Statements compare by gate text and targets only.
+    """
 
     gate_text: str
     targets: tuple[int, ...]
-    matrix: np.ndarray
-    line: int
-
-    def __eq__(self, other):
-        if not isinstance(other, Statement):
-            return NotImplemented
-        return self.gate_text == other.gate_text and self.targets == other.targets
-
-    __hash__ = object.__hash__
+    matrix: np.ndarray = field(compare=False)
+    line: int = field(compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CircuitDocument:
+    """A parsed circuit; documents compare by encoding reference, width and
+    statements."""
+
     encoding_ref: str
-    encoding: Encoding
+    encoding: Encoding = field(compare=False)
     width: int
     statements: tuple[Statement, ...]
-
-    def __eq__(self, other):
-        """Structural identity: same encoding reference, width and statements."""
-        if not isinstance(other, CircuitDocument):
-            return NotImplemented
-        return (
-            self.encoding_ref == other.encoding_ref
-            and self.width == other.width
-            and self.statements == other.statements
-        )
-
-    __hash__ = object.__hash__
 
     def to_circuit(self) -> Circuit:
         steps = tuple(CircuitStep(s.matrix, s.targets) for s in self.statements)
@@ -335,16 +322,19 @@ class CircuitDocument:
 
 
 _GATE_CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\((.*)\)$")
-_SIMPLE_GATES = ("NOT", "SQRT_NOT", "H", "CNOT", "SWAP")
 
 
-def _read_file(path: str, base_dir: str | None) -> str:
+def _read_file(path: str, base_dir: str | None = None) -> str:
+    """Read a UTF-8 text file; a relative path is taken from `base_dir`, or
+    from the working directory when it is None."""
     full = path if os.path.isabs(path) or base_dir is None else os.path.join(base_dir, path)
     with open(full, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
-def _resolve_encoding(ref: str, base_dir: str | None) -> Encoding:
+def _resolve_encoding(ref: str, base_dir: str | None = None) -> Encoding:
+    """A built-in encoding by name, or else the encoding file at `ref`
+    (named after the file's stem)."""
     if ref in BUILTIN_ENCODINGS:
         return builtin_encoding(ref)
     text = _read_file(ref, base_dir)
@@ -366,7 +356,7 @@ def _resolve_gate(
             inner = parse_matrix(_read_file(arg, base_dir))
             return controlled(inner)
         raise ValueError(f"unknown parameterized gate {head!r}")
-    if tok in _SIMPLE_GATES:
+    if tok in NAMED_GATES:
         return named_gate(tok, enc)
     # Anything else is a matrix file path.
     try:

@@ -18,9 +18,7 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "as_vector",
-    "as_matrix",
-    "as_gate_tensor",
+    "as_array",
     "kron",
     "svd",
     "principal_unitary_sqrt",
@@ -51,42 +49,31 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to converge within its iteration cap."""
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce to a finite 1-D complex vector (rejects NaN/Inf entries)."""
-    a = np.asarray(v, dtype=np.complex128)
-    if a.ndim == 2 and 1 in a.shape:
-        a = a.reshape(-1)
-    if a.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {np.shape(v)}")
-    if a.size == 0:
-        raise ValueError("empty vector")
-    if not np.isfinite(a).all():
-        raise ValueError("vector contains NaN or Inf entries")
-    return a
+# ndim -> (expected shape, noun) as worded in coercion errors.
+_ARRAY_KINDS = {
+    1: ("a vector", "vector"),
+    2: ("a matrix", "matrix"),
+    3: ("a (rows, cols, slices) tensor", "tensor"),
+}
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-D complex matrix (rejects NaN/Inf entries)."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {np.shape(m)}")
-    if a.size == 0:
-        raise ValueError("empty matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains NaN or Inf entries")
-    return a
+def as_array(a, ndim: int) -> np.ndarray:
+    """Coerce to a finite complex vector (ndim 1), matrix (2) or gate tensor
+    of shape (rows, cols, slices) (3); rejects empty input and NaN/Inf entries.
 
-
-def as_gate_tensor(t) -> np.ndarray:
-    """Coerce to a finite 3-D gate tensor of shape (rows, cols, slices)."""
-    a = np.asarray(t, dtype=np.complex128)
-    if a.ndim != 3:
-        raise ValueError(f"expected a (rows, cols, slices) tensor, got shape {np.shape(t)}")
-    if a.size == 0:
-        raise ValueError("empty tensor")
-    if not np.isfinite(a).all():
-        raise ValueError("tensor contains NaN or Inf entries")
-    return a
+    A single-row or single-column matrix is accepted as a vector.
+    """
+    out = np.asarray(a, dtype=np.complex128)
+    if ndim == 1 and out.ndim == 2 and 1 in out.shape:
+        out = out.reshape(-1)
+    expected, noun = _ARRAY_KINDS[ndim]
+    if out.ndim != ndim:
+        raise ValueError(f"expected {expected}, got shape {np.shape(a)}")
+    if out.size == 0:
+        raise ValueError(f"empty {noun}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{noun} contains NaN or Inf entries")
+    return out
 
 
 def kron(a, b) -> np.ndarray:
@@ -167,7 +154,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and m = u @ diag(s) @ v.conj().T.  Economy-sized: s has min(rows, cols)
     entries.  Raises ConvergenceError if the sweep cap is exceeded.
     """
-    a = as_matrix(m)
+    a = as_array(m, 2)
     rows, cols = a.shape
     transposed = rows < cols
     w = a.conj().T.copy() if transposed else a.copy()
@@ -226,7 +213,7 @@ def principal_unitary_sqrt(u, tol: float = 1e-9) -> np.ndarray:
     squares back to the input.  Raises ValueError if the input is not unitary
     to within `tol`.
     """
-    a = as_matrix(u)
+    a = as_array(u, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError("principal_unitary_sqrt requires a square matrix")
     if not is_unitary(a, tol):
@@ -240,12 +227,12 @@ def principal_unitary_sqrt(u, tol: float = 1e-9) -> np.ndarray:
 
 def res(m) -> np.ndarray:
     """Row-major flattening of a matrix into a vector."""
-    return as_matrix(m).reshape(-1)
+    return as_array(m, 2).reshape(-1)
 
 
 def unres(v, rows: int, cols: int) -> np.ndarray:
     """Inverse of res: reshape a vector of length rows*cols into a matrix."""
-    a = as_vector(v)
+    a = as_array(v, 1)
     if a.size != rows * cols:
         raise ValueError(f"cannot reshape a vector of length {a.size} to {rows}x{cols}")
     return a.reshape(rows, cols)
@@ -257,8 +244,8 @@ def tensor_apply(t, x) -> np.ndarray:
     Computes y_k = trace(slice_k @ x) for each slice and reshapes y back into
     the shape of x.  Equivalent to unres(G @ res(x)) for G = tensor_to_matrix(t).
     """
-    tt = as_gate_tensor(t)
-    xm = as_matrix(x)
+    tt = as_array(t, 3)
+    xm = as_array(x, 2)
     if tt.shape[:2] != xm.shape:
         raise ValueError(f"tensor slices {tt.shape[:2]} do not match state shape {xm.shape}")
     if tt.shape[2] != xm.size:
@@ -269,14 +256,14 @@ def tensor_apply(t, x) -> np.ndarray:
 
 def tensor_to_matrix(t) -> np.ndarray:
     """Matrix form of a gate tensor: row k is res(slice_k.T)."""
-    tt = as_gate_tensor(t)
+    tt = as_array(t, 3)
     rows, cols, k = tt.shape
     return tt.transpose(2, 1, 0).reshape(k, rows * cols).copy()
 
 
 def matrix_to_tensor(g, rows: int, cols: int) -> np.ndarray:
     """Gate tensor whose trace action reproduces y = g @ res(x)."""
-    gm = as_matrix(g)
+    gm = as_array(g, 2)
     if gm.shape[1] != rows * cols:
         raise ValueError(f"matrix with {gm.shape[1]} columns cannot act on {rows}x{cols} states")
     return gm.reshape(gm.shape[0], cols, rows).transpose(2, 1, 0).copy()
@@ -288,8 +275,8 @@ def equal_up_to_phase(a, b, tol: float) -> complex | None:
     The candidate phase is read off the largest-modulus entry of b (first one
     in row-major order on ties); None if no unimodular phase works.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
+    am = as_array(a, 2)
+    bm = as_array(b, 2)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     flat_b = bm.reshape(-1)
@@ -308,7 +295,7 @@ def equal_up_to_phase(a, b, tol: float) -> complex | None:
 
 def is_unitary(m, tol: float) -> bool:
     """True iff ||m† m - I||_F <= tol.  Raises ValueError for non-square input."""
-    a = as_matrix(m)
+    a = as_array(m, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError("is_unitary requires a square matrix")
     eye = np.eye(a.shape[0], dtype=np.complex128)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import Encoding, QuantumState, encode_bits
-from .linalg import as_matrix, is_unitary, tensor_apply, tensor_to_matrix
+from .linalg import as_array, is_unitary, tensor_to_matrix
 from .synthesis import named_gate
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "CircuitStep",
     "MAX_AMBIENT_DIM",
     "apply_gate",
-    "apply_tensor_gate_matrixenc",
     "run_circuit",
     "basis_probabilities",
 ]
@@ -58,12 +57,12 @@ def _resolve(step: CircuitStep, enc: Encoding) -> np.ndarray:
     g = np.asarray(step.gate)
     if g.ndim == 3:
         return tensor_to_matrix(g)
-    return as_matrix(g)
+    return as_array(g, 2)
 
 
 def apply_gate(s: QuantumState, g, targets) -> QuantumState:
     """Apply a gate matrix to the given target subsystems of a state."""
-    gm = as_matrix(g)
+    gm = as_array(g, 2)
     d = s.encoding.ambient_dim
     n = s.subsystem_count
     targets = tuple(int(t) for t in targets)
@@ -85,11 +84,6 @@ def apply_gate(s: QuantumState, g, targets) -> QuantumState:
     psi = (gm @ psi.reshape(d**k, -1)).reshape([d] * n)
     psi = np.moveaxis(psi, range(k), targets)
     return QuantumState(psi.reshape(-1), s.encoding, n)
-
-
-def apply_tensor_gate_matrixenc(x, t) -> np.ndarray:
-    """Act with a gate tensor on a matrix-encoded state (trace action)."""
-    return tensor_apply(t, x)
 
 
 def run_circuit(c: Circuit, input_bits: str) -> QuantumState:

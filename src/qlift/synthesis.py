@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import Encoding, fixed_complement, logical_subspace
-from .linalg import as_matrix, is_unitary, principal_unitary_sqrt
+from .encodings import Encoding, _check_bits, fixed_complement, logical_subspace
+from .linalg import as_array, is_unitary, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -46,11 +46,6 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 _CHECK_TOL = 1e-9
 _ENUMERATION_DIM_CAP = 8
-
-
-def _check_bits(bits: str, length: int, what: str) -> None:
-    if len(bits) != length or set(bits) - {"0", "1"}:
-        raise ValueError(f"{what} must be a bit string of length {length}, got {bits!r}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class ClassicalFunction:
         object.__setattr__(self, "table", dict(self.table))
 
     def __call__(self, bits: str) -> str:
-        _check_bits(bits, self.arity_in, "input")
+        _check_bits(bits, self.arity_in)
         return self.table[bits]
 
     @property
@@ -147,7 +142,7 @@ class SynthesizedGate:
     subsystem_count: int
 
     def __post_init__(self):
-        m = as_matrix(self.matrix).copy()
+        m = as_array(self.matrix, 2).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         if not is_unitary(m, _UNITARY_TOL):
@@ -187,7 +182,7 @@ def quantize_irreversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGat
 
 def controlled(u) -> np.ndarray:
     """Block matrix diag(I2, u) for a 2x2 unitary u."""
-    um = as_matrix(u)
+    um = as_array(u, 2)
     if um.shape != (2, 2):
         raise ValueError(f"controlled() expects a 2x2 matrix, got {um.shape}")
     if not is_unitary(um, _UNITARY_TOL):
@@ -265,7 +260,7 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     For irreversible f the check runs against the reversible closure
     |x>|y> -> |x>|f(x) xor y>.
     """
-    um = as_matrix(u)
+    um = as_array(u, 2)
     if um.shape[0] != um.shape[1]:
         raise ValueError("expected a square matrix")
     g = f if f.is_reversible else reversible_closure(f)
@@ -333,6 +328,8 @@ def hadamard() -> np.ndarray:
 
 def phase_gate(phi: float) -> np.ndarray:
     """diag(1, e^{i phi})."""
+    if not np.isfinite(phi):
+        raise ValueError(f"phase angle must be finite, got {phi!r}")
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=np.complex128)
 
 
@@ -348,7 +345,14 @@ def swap() -> np.ndarray:
     )
 
 
-NAMED_GATES = ("NOT", "SQRT_NOT", "H", "CNOT", "SWAP")
+# The gates callable by bare name: name -> matrix under a given encoding.
+NAMED_GATES = {
+    "NOT": lambda enc: quantize_reversible(ClassicalFunction.negation(), enc).matrix,
+    "SQRT_NOT": lambda enc: principal_unitary_sqrt(named_gate("NOT", enc)),
+    "H": lambda enc: hadamard(),
+    "CNOT": lambda enc: cnot(),
+    "SWAP": lambda enc: swap(),
+}
 
 
 def named_gate(name: str, enc: Encoding, phi: float | None = None) -> np.ndarray:
@@ -356,19 +360,14 @@ def named_gate(name: str, enc: Encoding, phi: float | None = None) -> np.ndarray
 
     NOT and SQRT_NOT are synthesized for the encoding; H, R, CNOT and SWAP are
     fixed qubit-sized matrices (dimension checks happen at application time).
+    R is the one parameterized name and takes the angle `phi`.
     """
-    if name == "NOT":
-        return quantize_reversible(ClassicalFunction.negation(), enc).matrix
-    if name == "SQRT_NOT":
-        return principal_unitary_sqrt(named_gate("NOT", enc))
-    if name == "H":
-        return hadamard()
     if name == "R":
         if phi is None:
             raise ValueError("R requires an angle argument")
         return phase_gate(phi)
-    if name == "CNOT":
-        return cnot()
-    if name == "SWAP":
-        return swap()
-    raise ValueError(f"unknown gate name {name!r}")
+    try:
+        make = NAMED_GATES[name]
+    except KeyError:
+        raise ValueError(f"unknown gate name {name!r}") from None
+    return make(enc)

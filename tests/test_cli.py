@@ -102,6 +102,14 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(bad), "--input", "0")
         assert code == 2 and "line 1" in err
 
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_is_parse_error(self, capsys, tmp_path, angle):
+        circ = tmp_path / "r.circ"
+        circ.write_text(f"encoding qubit\nwidth 1\nR({angle}) 0\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "0")
+        assert code == 2 and not out
+        assert "line 3, column 1" in err and "R expects a real angle" in err
+
     def test_wrong_input_width_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "run", fx("bell.circ"), "--input", "0")
         assert code == 1 and err
@@ -123,6 +131,8 @@ class TestSchmidt:
         code, _, err = run_cli(
             capsys, "schmidt", fx("bell_state.vec"), "--dims", "2;2"
         )
+        assert code == 2 and "--dims" in err
+        code, _, err = run_cli(capsys, "schmidt", fx("bell_state.vec"), "--dims=-2,-2")
         assert code == 2 and "--dims" in err
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,11 @@ class TestBuiltinEncodings:
     def test_pauli_dimensions(self):
         p = en.builtin_encoding("pauli")
         assert p.ambient_dim == 4 and p.bit_dim == 2 and p.fixed.shape[1] == 0
+
+    def test_hash_consistent_with_equality(self):
+        assert len({en.builtin_encoding("qubit"), en.builtin_encoding("qubit")}) == 1
+        m2, q4 = en.builtin_encoding("matrix2"), en.builtin_encoding("ququart")
+        assert m2 == q4 and hash(m2) == hash(q4)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown encoding"):
@@ -152,6 +159,36 @@ class TestLogicalSubspace:
         assert en.fixed_complement(t, 2).shape == (9, 5)
         q = en.builtin_encoding("qubit")
         assert en.fixed_complement(q, 2).shape[1] == 0
+
+    @staticmethod
+    def _reference_complement(enc, n):
+        """Kronecker products of per-factor columns of [B0|B1|F], kept when a
+        factor is a fixed direction, in lexicographic label order."""
+        full = np.hstack([enc.basis0, enc.basis1, enc.fixed])
+        cols = []
+        for labels in itertools.product(range(enc.ambient_dim), repeat=n):
+            if max(labels) >= 2 * enc.bit_dim:
+                vec = np.ones(1, dtype=complex)
+                for j in labels:
+                    vec = np.kron(vec, full[:, j])
+                cols.append(vec)
+        return np.column_stack(cols)
+
+    def test_fixed_complement_matches_reference(self):
+        rng = np.random.default_rng(29)
+        q, _ = np.linalg.qr(random_complex(rng, (3, 3)))
+        rotated = en.Encoding("rotated", 3, [q[:, 0]], [q[:, 1]], [q[:, 2]])
+        cases = [(en.builtin_encoding("qutrit"), 2), (en.builtin_encoding("qutrit"), 3)]
+        cases += [(rotated, n) for n in (1, 2, 3)]
+        for enc, n in cases:
+            comp = en.fixed_complement(enc, n)
+            assert np.array_equal(comp, self._reference_complement(enc, n))
+            logical = [
+                en.logical_subspace(enc, format(i, f"0{n}b")) for i in range(2**n)
+            ]
+            full = np.hstack(logical + [comp])
+            assert full.shape == (3**n, 3**n)
+            assert np.linalg.norm(full.conj().T @ full - np.eye(3**n)) <= 1e-12
 
 
 class TestClassifyState:

@@ -186,6 +186,14 @@ class TestCircuitFormat:
         doc = qio.parse_circuit("encoding qubit\nwidth 1\nR(3.141592653589793) 0\n")
         assert np.allclose(doc.statements[0].matrix, np.diag([1, -1]))
 
+    def test_non_finite_angle_diagnosed(self):
+        for angle in ("nan", "inf"):
+            with pytest.raises(qio.ParseError) as err:
+                qio.parse_circuit(f"encoding qubit\nwidth 1\nR({angle}) 0\n")
+            (diag,) = err.value.diagnostics
+            assert (diag.line, diag.column) == (3, 1)
+            assert "R expects a real angle" in diag.message
+
     def test_controlled_gate_from_file(self):
         doc = qio.parse_circuit(
             "encoding qubit\nwidth 2\nC(x.mat) 0 1\n", base_dir=FIXTURES
@@ -221,6 +229,13 @@ class TestCircuitFormat:
         doc = qio.parse_circuit(text, base_dir=FIXTURES)
         again = qio.parse_circuit(qio.format_circuit(doc), base_dir=FIXTURES)
         assert doc == again
+
+    def test_equal_documents_hash_equal(self):
+        text = fixture("bell.circ")
+        docs = {qio.parse_circuit(text), qio.parse_circuit(text)}
+        assert len(docs) == 1
+        (doc,) = docs
+        assert len(set(doc.statements + doc.statements)) == len(doc.statements)
 
     def test_to_circuit_runs(self):
         from qlift.simulator import run_circuit

@@ -1,0 +1,41 @@
+"""Every exported or externally looked-up name resolves, and the scripts run."""
+
+import importlib
+import importlib.util
+import os
+import runpy
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODULES = ["encodings", "entanglement", "io", "linalg", "simulator", "synthesis"]
+
+
+@pytest.mark.parametrize("module", ["qlift"] + [f"qlift.{m}" for m in MODULES])
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+def test_traced_names_resolve(monkeypatch):
+    """The benchmark's tracer wraps these (module, function) pairs by name."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tables = (tracing.SPANS, tracing.COUNTS, tracing.TRIED)
+    pairs = [(m, a) for table in tables for m, attrs in table.values() for a in attrs]
+    assert pairs
+    missing = [
+        (m, a) for m, a in pairs if not callable(getattr(importlib.import_module(m), a, None))
+    ]
+    assert not missing
+
+
+@pytest.mark.parametrize("script", ["bell_pipeline.py", "not_variant_census.py"])
+def test_script_runs(script, capsys):
+    runpy.run_path(os.path.join(ROOT, "scripts", script), run_name="__main__")
+    assert capsys.readouterr().out

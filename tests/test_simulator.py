@@ -76,18 +76,18 @@ class TestTensorGate:
     def test_flip_tensor_action(self):
         """Frozen from the trace oracle: x11 and x22 swap, off-diagonal fixed."""
         x = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = sim.apply_tensor_gate_matrixenc(x, self.FLIP)
+        out = la.tensor_apply(self.FLIP, x)
         assert np.array_equal(out, np.array([[4, 2], [3, 1]], dtype=complex))
 
     def test_zero_tensor(self):
-        out = sim.apply_tensor_gate_matrixenc(np.eye(2), np.zeros((2, 2, 4)))
+        out = la.tensor_apply(np.zeros((2, 2, 4)), np.eye(2))
         assert np.array_equal(out, np.zeros((2, 2), dtype=complex))
 
     def test_identity_tensor(self):
         t = la.matrix_to_tensor(np.eye(4), 2, 2)
         rng = np.random.default_rng(13)
         x = random_complex(rng, (2, 2))
-        assert np.allclose(sim.apply_tensor_gate_matrixenc(x, t), x)
+        assert np.allclose(la.tensor_apply(t, x), x)
 
     def test_matches_matrix_route(self):
         rng = np.random.default_rng(17)
@@ -95,7 +95,7 @@ class TestTensorGate:
             g = random_complex(rng, (4, 4))
             x = random_complex(rng, (2, 2))
             t = la.matrix_to_tensor(g, 2, 2)
-            lhs = sim.apply_tensor_gate_matrixenc(x, t)
+            lhs = la.tensor_apply(t, x)
             rhs = la.unres(g @ la.res(x), 2, 2)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 

@@ -319,6 +319,9 @@ class TestNamedGates:
         for phi in (0.0, np.pi / 2, np.pi):
             got = sy.phase_gate(phi)
             assert np.array_equal(got, np.array([[1, 0], [0, np.exp(1j * phi)]]))
+        for phi in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sy.phase_gate(phi)
 
     def test_named_resolution(self):
         assert np.array_equal(sy.named_gate("NOT", QUTRIT), NOT3)
