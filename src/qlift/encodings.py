@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_array, kron
+from .linalg import as_array, kron, kron_apply
 
 __all__ = [
     "Encoding",
@@ -67,6 +67,10 @@ class Encoding:
     must form an orthonormal basis of the full ambient space, and the two
     logical subspaces must have equal dimension (otherwise no unitary NOT
     can exist).
+
+    frame is that unitary [basis0 | basis1 | fixed]; row c of the 0/1 matrix
+    frame_classes marks the frame columns of class c (bit 0, bit 1, and
+    fixed when there are fixed directions).
     """
 
     name: str
@@ -74,6 +78,8 @@ class Encoding:
     basis0: np.ndarray
     basis1: np.ndarray
     fixed: np.ndarray = field(default=None)  # type: ignore[assignment]
+    frame: np.ndarray = field(init=False, repr=False)
+    frame_classes: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, Encoding):
@@ -104,15 +110,21 @@ class Encoding:
             )
         if self.basis0.shape[1] == 0:
             raise ValueError("logical subspaces must be at least one-dimensional")
-        all_cols = np.hstack([self.basis0, self.basis1, self.fixed])
-        if all_cols.shape[1] != d:
+        frame = np.hstack([self.basis0, self.basis1, self.fixed])
+        if frame.shape[1] != d:
             raise ValueError(
                 f"subspace dimensions {self.basis0.shape[1]}+{self.basis1.shape[1]}"
                 f"+{self.fixed.shape[1]} do not add up to the ambient dimension {d}"
             )
-        gram = all_cols.conj().T @ all_cols
-        if np.linalg.norm(gram - np.eye(d)) > _ORTHO_TOL:
+        if np.linalg.norm(frame.conj().T @ frame - np.eye(d)) > _ORTHO_TOL:
             raise ValueError("encoding basis vectors are not orthonormal")
+        frame.setflags(write=False)
+        object.__setattr__(self, "frame", frame)
+        k, nfixed = self.bit_dim, self.fixed.shape[1]
+        labels = np.repeat([0, 1, 2], [k, k, nfixed])
+        classes = (labels == np.arange(3 if nfixed else 2)[:, None]).astype(float)
+        classes.setflags(write=False)
+        object.__setattr__(self, "frame_classes", classes)
 
     @property
     def bit_dim(self) -> int:
@@ -247,10 +259,9 @@ def fixed_complement(enc: Encoding, n: int) -> np.ndarray:
     d = enc.ambient_dim
     if enc.fixed.shape[1] == 0:
         return np.zeros((d**n, 0), dtype=np.complex128)
-    full = np.hstack([enc.basis0, enc.basis1, enc.fixed])
-    power = full
+    power = enc.frame
     for _ in range(n - 1):
-        power = kron(power, full)
+        power = kron(power, enc.frame)
     labels = np.indices((d,) * n).reshape(n, -1)
     return power[:, (labels >= 2 * enc.bit_dim).any(axis=0)]
 
@@ -259,26 +270,21 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     """Classify a state as logical, a superposition, or outside the code.
 
     Logical(b) if the projection onto the subspace of b carries at least
-    (1-tol) of the squared norm; outside the code if the projection onto the
-    span of all logical subspaces carries less than (1-tol); superposition
-    otherwise.
+    (1-tol) of the squared norm (the lowest such b on ties); outside the code
+    if the projection onto the span of all logical subspaces carries less
+    than (1-tol); superposition otherwise.  The weights are summed per frame
+    class in the frame basis, so no d^n-row subspace basis is built.
     """
     if s.encoding is not enc and s.encoding != enc:
         raise ValueError("state was prepared under a different encoding")
-    psi = s.normalized()
     n = s.subsystem_count
-    best_bits = None
-    best_weight = -1.0
-    total = 0.0
-    for idx in range(2**n):
-        bits = format(idx, f"0{n}b")
-        w = float(np.linalg.norm(logical_subspace(enc, bits).conj().T @ psi) ** 2)
-        total += w
-        if w > best_weight:
-            best_weight = w
-            best_bits = bits
-    if best_weight >= 1.0 - tol:
-        return StateClassification(StateKind.LOGICAL, best_bits)
-    if total < 1.0 - tol:
+    coeffs = kron_apply([enc.frame.conj().T] * n, s.normalized())
+    mass = kron_apply([enc.frame_classes] * n, np.abs(coeffs) ** 2)
+    r = enc.frame_classes.shape[0]
+    weights = mass.reshape((r,) * n)[(slice(0, 2),) * n].reshape(-1)
+    best = int(np.argmax(weights))
+    if weights[best] >= 1.0 - tol:
+        return StateClassification(StateKind.LOGICAL, format(best, f"0{n}b"))
+    if weights.sum() < 1.0 - tol:
         return StateClassification(StateKind.OUTSIDE_CODE)
     return StateClassification(StateKind.SUPERPOSITION)

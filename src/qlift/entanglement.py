@@ -65,6 +65,8 @@ class Separability(enum.Enum):
 def coefficient_matrix(s, dim_a: int, dim_b: int) -> np.ndarray:
     """Amplitudes arranged as a dim_a x dim_b matrix (row-major reshape)."""
     amps = _amplitudes(s)
+    if dim_a < 1 or dim_b < 1:
+        raise ValueError(f"subsystem dimensions must be positive, got {dim_a} x {dim_b}")
     if amps.size != dim_a * dim_b:
         raise ValueError(
             f"state dimension {amps.size} does not factor as {dim_a} x {dim_b}"

@@ -349,6 +349,8 @@ def _resolve_gate(
         head, arg = call.group(1), call.group(2)
         if head == "R":
             try:
+                if not _FLOAT_RE.match(arg):
+                    raise ValueError(arg)
                 return named_gate("R", enc, float(arg))
             except ValueError:
                 raise ValueError(f"R expects a real angle in radians, got {arg!r}") from None

@@ -20,6 +20,7 @@ __all__ = [
     "ConvergenceError",
     "as_array",
     "kron",
+    "kron_apply",
     "svd",
     "principal_unitary_sqrt",
     "res",
@@ -90,6 +91,25 @@ def kron(a, b) -> np.ndarray:
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
         raise ValueError("kron operand contains NaN or Inf entries")
     return np.kron(aa, bb)
+
+
+def kron_apply(mats, x) -> np.ndarray:
+    """kron(mats[0], mats[1], ...) @ x without forming the Kronecker product.
+
+    x is a vector or a matrix whose row count is the product of the factors'
+    column counts.  Each factor in turn contracts the leading index of x and
+    the result index moves to the back, so after the last factor the indices
+    are back in order.  The cost is one small matmul per factor over len(x)
+    entries instead of a product-sized matrix.
+    """
+    x = np.asarray(x)
+    cols = [m.shape[1] for m in mats]
+    if x.ndim not in (1, 2) or x.shape[0] != math.prod(cols):
+        raise ValueError(f"operand of shape {x.shape} does not match the factors' column counts {cols}")
+    rest = x.shape[1:]
+    for m, c in zip(mats, cols):
+        x = x.reshape(c, -1).T.dot(m.T)
+    return x.reshape(*rest, -1).T
 
 
 def _complete_orthonormal(u: np.ndarray, dead: np.ndarray) -> None:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encodings import Encoding, _check_bits, fixed_complement, logical_subspace
-from .linalg import as_array, is_unitary, principal_unitary_sqrt
+from .encodings import Encoding, _check_bits
+from .linalg import as_array, is_unitary, kron_apply, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -160,16 +160,24 @@ def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
             "use quantize_irreversible for the XOR-target construction"
         )
     n = f.arity_in
-    dim = enc.ambient_dim**n
-    gate = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(2**n):
-        bits = format(i, f"0{n}b")
-        src = logical_subspace(enc, bits)
-        dst = logical_subspace(enc, f(bits))
-        gate += dst @ src.conj().T
-    comp = fixed_complement(enc, n)
-    if comp.shape[1]:
-        gate += comp @ comp.conj().T
+    d, k = enc.ambient_dim, enc.bit_dim
+    dim = d**n
+    # Frame labels per factor; label // k is the bit on logical directions and
+    # 2 or more on fixed ones.  A label tuple with a fixed factor stays put;
+    # the others get the image bits and keep their in-subspace indices.
+    labels = np.indices((d,) * n).reshape(n, -1)
+    bits = labels // k
+    logical = (bits < 2).all(axis=0)
+    outputs = np.array([list(f(format(i, f"0{n}b"))) for i in range(2**n)], dtype=int)
+    out_bits = outputs[np.ravel_multi_index(np.minimum(bits, 1), (2,) * n)].T
+    image = np.ravel_multi_index(np.where(logical, out_bits * k + labels % k, labels), (d,) * n)
+    # W P W^dagger for W = frame^(kron n) and P the label permutation, as one
+    # contraction of the row-major flattened P.  P is built complex so that
+    # the contraction makes no converted copy of it.
+    frames = [enc.frame] * n + [enc.frame.conj()] * n
+    perm = np.eye(dim, dtype=np.complex128)[:, image].reshape(-1)
+    gate = kron_apply(frames, perm).reshape(dim, dim)
+    del perm  # not kept alive while the gate is copied and checked
     return SynthesizedGate(gate, enc, f, "reversible", n)
 
 
@@ -249,11 +257,6 @@ class QuantizationReport:
         return out
 
 
-def _subspace_residual(image: np.ndarray, target: np.ndarray) -> float:
-    """Frobenius norm of the part of `image` outside span(target columns)."""
-    return float(np.linalg.norm(image - target @ (target.conj().T @ image)))
-
-
 def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> QuantizationReport:
     """Check whether u realizes f under enc, with per-subspace diagnostics.
 
@@ -273,18 +276,27 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
         )
     eye = np.eye(dim)
     unit_res = float(np.linalg.norm(um.conj().T @ um - eye))
-    checks = []
-    for i in range(2**n):
-        bits = format(i, f"0{n}b")
-        out_bits = g(bits)
-        image = um @ logical_subspace(enc, bits)
-        target = logical_subspace(enc, out_bits)
-        residual = _subspace_residual(image, target)
-        checks.append(SubspaceCheck(bits, out_bits, residual, residual <= tol))
-    comp = fixed_complement(enc, n)
+    # Squared entries of frame^dagger u frame summed per (row class, column
+    # class) tuple: mass[i, j] is how much of class tuple j lands in tuple i.
+    frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
+    coeffs = kron_apply(frames, um.reshape(-1))
+    r = enc.frame_classes.shape[0]
+    mass = kron_apply([enc.frame_classes] * (2 * n), np.abs(coeffs) ** 2).reshape(r**n, r**n)
+    # Class-tuple index of each bit string.  A leak is the mass that lands
+    # outside its target, summed with the target zeroed: subtracting it from
+    # a column total of k^n would leave ~1e-8 of rounding after the sqrt.
+    code = np.ravel_multi_index(np.unravel_index(np.arange(2**n), (2,) * n), (r,) * n)
+    inputs = [format(i, f"0{n}b") for i in range(2**n)]
+    outputs = [g(x) for x in inputs]
+    leak = mass[:, code]
+    leak[code[[int(y, 2) for y in outputs]], np.arange(2**n)] = 0.0
+    residuals = np.sqrt(leak.sum(axis=0)).tolist()
+    checks = [SubspaceCheck(x, y, res, res <= tol) for x, y, res in zip(inputs, outputs, residuals)]
     comp_res = None
-    if comp.shape[1]:
-        comp_res = _subspace_residual(um @ comp, comp)
+    if r == 3:
+        leak = mass[code]
+        leak[:, code] = 0.0
+        comp_res = float(np.sqrt(leak.sum()))
     return QuantizationReport(unit_res <= tol, unit_res, tuple(checks), comp_res, tol)
 
 

@@ -110,6 +110,13 @@ class TestRun:
         assert code == 2 and not out
         assert "line 3, column 1" in err and "R expects a real angle" in err
 
+    def test_underscored_angle_is_parse_error(self, capsys, tmp_path):
+        circ = tmp_path / "r.circ"
+        circ.write_text("encoding qubit\nwidth 1\nR(1_0) 0\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "0")
+        assert code == 2 and not out
+        assert "line 3, column 1" in err and "'1_0'" in err
+
     def test_wrong_input_width_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "run", fx("bell.circ"), "--input", "0")
         assert code == 1 and err

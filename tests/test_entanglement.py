@@ -26,6 +26,13 @@ class TestCoefficientMatrix:
         with pytest.raises(ValueError, match="factor"):
             ent.coefficient_matrix(PSI_PLUS, 2, 3)
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (4, -1)])
+    def test_non_positive_dims_named(self, dims):
+        with pytest.raises(ValueError, match=f"positive, got {dims[0]} x {dims[1]}"):
+            ent.coefficient_matrix(PSI_PLUS, *dims)
+        with pytest.raises(ValueError, match=f"positive, got {dims[0]} x {dims[1]}"):
+            ent.schmidt([1, 0, 0, 1], *dims)
+
 
 class TestSchmidt:
     def test_bell_state(self):

@@ -194,6 +194,15 @@ class TestCircuitFormat:
             assert (diag.line, diag.column) == (3, 1)
             assert "R expects a real angle" in diag.message
 
+    @pytest.mark.parametrize("angle", ["1_0", "Infinity", "0x10", "1e", "1.0j"])
+    def test_angle_outside_scalar_syntax_diagnosed(self, angle):
+        """R takes the files' scalar syntax, not everything float() reads."""
+        with pytest.raises(qio.ParseError) as err:
+            qio.parse_circuit(f"encoding qubit\nwidth 1\nR({angle}) 0\n")
+        (diag,) = err.value.diagnostics
+        assert (diag.line, diag.column) == (3, 1)
+        assert "R expects a real angle" in diag.message
+
     def test_controlled_gate_from_file(self):
         doc = qio.parse_circuit(
             "encoding qubit\nwidth 2\nC(x.mat) 0 1\n", base_dir=FIXTURES

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,34 @@ class TestKron:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             la.kron(np.array([[np.nan, 0], [0, 1]]), X)
+
+
+class TestKronApply:
+    @given(st.data(), st.integers(min_value=1, max_value=4), st.booleans(), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_kron(self, data, count, real, rest):
+        """kron_apply(mats, x) == kron(*mats) @ x for a vector (rest 0) or a
+        matrix with `rest` columns."""
+        shapes = [data.draw(st.tuples(small_dims, small_dims)) for _ in range(count)]
+        mats = [data.draw(complex_matrix(*shape)) for shape in shapes]
+        cols = math.prod(c for _, c in shapes)
+        x = data.draw(complex_matrix(cols, max(rest, 1)))
+        if rest == 0:
+            x = x[:, 0]
+        if real:
+            mats, x = [m.real for m in mats], x.real
+        dense = functools.reduce(np.kron, mats)
+        want = dense @ x
+        got = la.kron_apply(mats, x)
+        assert got.shape == want.shape
+        scale = float(np.linalg.norm(np.abs(dense) @ np.abs(x)))
+        assert np.linalg.norm(got - want) <= 1e-12 * scale + 1e-300
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="column counts"):
+            la.kron_apply([np.eye(2), np.eye(3)], np.ones(5))
+        with pytest.raises(ValueError, match="column counts"):
+            la.kron_apply([np.eye(2)], np.ones((2, 2, 2)))
 
 
 class TestSvd:

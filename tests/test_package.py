@@ -19,6 +19,15 @@ def test_all_names_resolve(module):
     assert not missing
 
 
+def test_package_exports_every_module_list_once():
+    import qlift
+
+    lists = [importlib.import_module(f"qlift.{m}").__all__ for m in MODULES if m != "io"]
+    expected = [name for names in lists for name in names]
+    assert qlift.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
 def test_traced_names_resolve(monkeypatch):
     """The benchmark's tracer wraps these (module, function) pairs by name."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
