@@ -33,7 +33,7 @@ import numpy as np
 
 from .encodings import BUILTIN_ENCODINGS, Encoding, builtin_encoding
 from .linalg import as_array
-from .simulator import Circuit, CircuitStep
+from .simulator import Circuit, CircuitStep, _check_step
 from .synthesis import NAMED_GATES, ClassicalFunction, controlled, named_gate
 
 __all__ = [
@@ -72,8 +72,13 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-_FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_FLOAT_RE = re.compile(rf"^{_FLOAT}$")
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_FLOAT = rf"[+-]?{_UNSIGNED}"
+# A bare real, or an optional real part followed by a signed (or, without a
+# real part, optionally signed) imaginary coefficient that may be omitted.
+_COMPLEX_RE = re.compile(
+    rf"(?P<real>{_FLOAT})|(?:(?P<re>{_FLOAT})(?=[+-]))?(?P<im>[+-]?(?:{_UNSIGNED})?)[iI]"
+)
 
 
 def format_complex(z: complex) -> str:
@@ -90,37 +95,15 @@ def parse_complex(token: str) -> complex:
     token = token.strip()
     if not token:
         raise ValueError("empty entry")
-    if token.endswith(("i", "I")):
-        body = token[:-1]
-        # Split at the sign that separates real and imaginary parts (not a
-        # leading sign, not an exponent sign).
-        split_at = None
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                split_at = pos
-                break
-        if split_at is None:
-            re_text, im_text = "", body
-        else:
-            re_text, im_text = body[:split_at], body[split_at:]
-        if im_text in ("", "+"):
-            im_val = 1.0
-        elif im_text == "-":
-            im_val = -1.0
-        elif _FLOAT_RE.match(im_text):
-            im_val = float(im_text)
-        else:
-            raise ValueError(f"bad complex entry {token!r}")
-        if re_text == "":
-            re_val = 0.0
-        elif _FLOAT_RE.match(re_text):
-            re_val = float(re_text)
-        else:
-            raise ValueError(f"bad complex entry {token!r}")
-        return complex(re_val, im_val)
-    if _FLOAT_RE.match(token):
-        return complex(float(token), 0.0)
-    raise ValueError(f"bad numeric entry {token!r}")
+    m = _COMPLEX_RE.fullmatch(token)
+    if m is None:
+        kind = "complex" if token.endswith(("i", "I")) else "numeric"
+        raise ValueError(f"bad {kind} entry {token!r}")
+    if m["real"] is not None:
+        return complex(float(m["real"]), 0.0)
+    im = m["im"]
+    im_val = float(im) if im.strip("+-") else float(im + "1")
+    return complex(float(m["re"] or 0.0), im_val)
 
 
 def _content_lines(text: str):
@@ -349,7 +332,7 @@ def _resolve_gate(
         head, arg = call.group(1), call.group(2)
         if head == "R":
             try:
-                if not _FLOAT_RE.match(arg):
+                if not re.fullmatch(_FLOAT, arg):
                     raise ValueError(arg)
                 return named_gate("R", enc, float(arg))
             except ValueError:
@@ -413,47 +396,24 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
     for ln, content in lines[idx + 1 :]:
         toks = _tokens(content)
         gate_col, gate_tok = toks[0]
-        parsed: list[tuple[int, int]] = []
-        bad = False
+        if len(toks) == 1:
+            diagnostics.append(Diagnostic(ln, gate_col, "statement needs at least one target"))
+            continue
+        targets = []
         for col, t in toks[1:]:
             try:
-                parsed.append((col, int(t)))
+                targets.append(int(t))
             except ValueError:
                 diagnostics.append(Diagnostic(ln, col, f"target must be an integer, got {t!r}"))
-                bad = True
-        if not toks[1:]:
-            diagnostics.append(Diagnostic(ln, gate_col, "statement needs at least one target"))
-            bad = True
-        for col, t in parsed:
-            if not 0 <= t < width:
-                diagnostics.append(
-                    Diagnostic(ln, col, f"target {t} out of range for width {width}")
-                )
-                bad = True
-        targets = [t for _, t in parsed]
-        if len(set(targets)) != len(targets):
-            diagnostics.append(Diagnostic(ln, parsed[0][0], f"duplicate targets {tuple(targets)}"))
-            bad = True
-        if bad:
+        if len(targets) < len(toks) - 1:
             continue
         try:
             matrix = _resolve_gate(gate_tok, enc, base_dir)
+            matrix, checked = _check_step(matrix, targets, enc.ambient_dim, width)
         except (ValueError, OSError) as exc:
             diagnostics.append(Diagnostic(ln, gate_col, str(exc)))
             continue
-        expected = enc.ambient_dim ** len(targets)
-        if matrix.shape != (expected, expected):
-            diagnostics.append(
-                Diagnostic(
-                    ln,
-                    gate_col,
-                    f"gate {gate_tok!r} has dimension {matrix.shape[0]} but "
-                    f"{len(targets)} target(s) of dimension {enc.ambient_dim} "
-                    f"require {expected}",
-                )
-            )
-            continue
-        statements.append(Statement(gate_tok, tuple(targets), matrix, ln))
+        statements.append(Statement(gate_tok, checked, matrix, ln))
 
     if diagnostics:
         raise ParseError(diagnostics)

@@ -7,7 +7,8 @@ no full-size Kronecker factor is ever materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,60 +31,108 @@ _GATE_UNITARY_TOL = 1e-9
 MAX_AMBIENT_DIM = 2**20
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CircuitStep:
-    """One gate application: a matrix, a gate tensor, or a builtin name."""
+    """One gate application: a matrix, a gate tensor, or a builtin name.
+
+    Steps compare by value: a named gate by its name, an array gate by
+    np.array_equal, together with the targets and the angle.
+    """
 
     gate: np.ndarray | str
     targets: tuple[int, ...]
     phi: float | None = None  # angle for the named R gate
 
-
-@dataclass(frozen=True, eq=False)
-class Circuit:
-    encoding: Encoding
-    width: int
-    steps: tuple[CircuitStep, ...]
-
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("circuit width must be positive")
-        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "targets", tuple(self.targets))
+
+    def __eq__(self, other):
+        if not isinstance(other, CircuitStep):
+            return NotImplemented
+        a, b = self.gate, other.gate
+        same_gate = isinstance(a, str) == isinstance(b, str) and (
+            a == b if isinstance(a, str) else np.array_equal(a, b)
+        )
+        return same_gate and (self.targets, self.phi) == (other.targets, other.phi)
+
+    def __hash__(self):
+        gate = self.gate if isinstance(self.gate, str) else np.shape(self.gate)
+        return hash((gate, self.targets, self.phi))
 
 
-def _resolve(step: CircuitStep, enc: Encoding) -> np.ndarray:
-    if isinstance(step.gate, str):
-        return named_gate(step.gate, enc, step.phi)
-    g = np.asarray(step.gate)
-    if g.ndim == 3:
-        return tensor_to_matrix(g)
-    return as_array(g, 2)
-
-
-def apply_gate(s: QuantumState, g, targets) -> QuantumState:
-    """Apply a gate matrix to the given target subsystems of a state."""
-    gm = as_array(g, 2)
-    d = s.encoding.ambient_dim
-    n = s.subsystem_count
-    targets = tuple(int(t) for t in targets)
+def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The step rule: a d^k x d^k matrix acts on k distinct integer targets in
+    range(width).  Returns (complex matrix, int targets) or raises ValueError."""
+    gm = as_array(gate, 2)
+    try:
+        targets = tuple(map(operator.index, targets))
+    except TypeError:
+        raise ValueError(f"target indices must be integers, got {tuple(targets)}") from None
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target indices {targets}")
     for t in targets:
-        if not 0 <= t < n:
-            raise ValueError(f"target index {t} out of range for width {n}")
+        if not 0 <= t < width:
+            raise ValueError(f"target index {t} out of range for width {width}")
     k = len(targets)
     if gm.shape != (d**k, d**k):
         raise ValueError(
             f"gate of dimension {gm.shape[0]} cannot act on {k} target(s) "
             f"of dimension {d} (expected {d**k})"
         )
-    if not is_unitary(gm, _GATE_UNITARY_TOL):
-        raise ValueError("gate matrix is not unitary")
-    psi = s.amplitudes.reshape([d] * n)
-    psi = np.moveaxis(psi, targets, range(k))
-    psi = (gm @ psi.reshape(d**k, -1)).reshape([d] * n)
-    psi = np.moveaxis(psi, range(k), targets)
-    return QuantumState(psi.reshape(-1), s.encoding, n)
+    return gm, targets
+
+
+def _resolve(step: CircuitStep, enc: Encoding) -> np.ndarray:
+    if isinstance(step.gate, str):
+        return named_gate(step.gate, enc, step.phi)
+    return tensor_to_matrix(step.gate) if np.ndim(step.gate) == 3 else step.gate
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Steps on `width` subsystems of an encoding.  Building it resolves and
+    checks every step (targets, dimension, unitarity): a bad step raises
+    ValueError here.  Circuits compare by encoding, width and steps."""
+
+    encoding: Encoding
+    width: int
+    steps: tuple[CircuitStep, ...]
+    # The checked (read-only matrix, int targets) pair of each step.
+    _checked: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ValueError("circuit width must be positive")
+        object.__setattr__(self, "steps", tuple(self.steps))
+        checked = []
+        for step in self.steps:
+            gm, targets = _check_step(
+                _resolve(step, self.encoding), step.targets, self.encoding.ambient_dim, self.width
+            )
+            if not is_unitary(gm, _GATE_UNITARY_TOL):
+                raise ValueError("gate matrix is not unitary")
+            gm = gm.copy()
+            gm.setflags(write=False)
+            checked.append((gm, targets))
+        object.__setattr__(self, "_checked", tuple(checked))
+
+
+def _fold(c: Circuit, amplitudes: np.ndarray) -> QuantumState:
+    """The state reached by applying c's checked steps to the amplitudes."""
+    d, n = c.encoding.ambient_dim, c.width
+    psi = amplitudes.reshape([d] * n)
+    for gm, targets in c._checked:
+        k = len(targets)
+        psi = np.moveaxis(psi, targets, range(k))
+        psi = (gm @ psi.reshape(d**k, -1)).reshape([d] * n)
+        psi = np.moveaxis(psi, range(k), targets)
+    return QuantumState(psi.reshape(-1), c.encoding, n)
+
+
+def apply_gate(s: QuantumState, g, targets) -> QuantumState:
+    """Apply a gate matrix to the given target subsystems of a state."""
+    step = CircuitStep(as_array(g, 2), targets)
+    return _fold(Circuit(s.encoding, s.subsystem_count, (step,)), s.amplitudes)
 
 
 def run_circuit(c: Circuit, input_bits: str) -> QuantumState:
@@ -97,10 +146,7 @@ def run_circuit(c: Circuit, input_bits: str) -> QuantumState:
             f"circuit state space {c.encoding.ambient_dim}**{c.width} exceeds "
             f"the {MAX_AMBIENT_DIM}-amplitude cap"
         )
-    state = encode_bits(c.encoding, input_bits)
-    for step in c.steps:
-        state = apply_gate(state, _resolve(step, c.encoding), step.targets)
-    return state
+    return _fold(c, encode_bits(c.encoding, input_bits).amplitudes)
 
 
 def basis_probabilities(s: QuantumState) -> list[tuple[int, float]]:

@@ -149,16 +149,9 @@ class SynthesizedGate:
             raise ValueError("synthesized gate is not unitary")
 
 
-def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
-    """Unitary counterpart of a reversible function under an encoding.
-
-    Raises ValueError for irreversible inputs (use quantize_irreversible).
-    """
-    if not f.is_reversible:
-        raise ValueError(
-            "function is not reversible (not a bijection with equal arities); "
-            "use quantize_irreversible for the XOR-target construction"
-        )
+def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
+    """W P W^dagger for a reversible f, with W = frame^(kron n) and P the
+    permutation of frame labels that f induces; unchecked."""
     n = f.arity_in
     d, k = enc.ambient_dim, enc.bit_dim
     dim = d**n
@@ -171,21 +164,31 @@ def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
     outputs = np.array([list(f(format(i, f"0{n}b"))) for i in range(2**n)], dtype=int)
     out_bits = outputs[np.ravel_multi_index(np.minimum(bits, 1), (2,) * n)].T
     image = np.ravel_multi_index(np.where(logical, out_bits * k + labels % k, labels), (d,) * n)
-    # W P W^dagger for W = frame^(kron n) and P the label permutation, as one
-    # contraction of the row-major flattened P.  P is built complex so that
-    # the contraction makes no converted copy of it.
+    # One contraction of the row-major flattened P.  P is built complex so
+    # that the contraction makes no converted copy of it; it is freed on
+    # return, before the caller copies and checks the gate.
     frames = [enc.frame] * n + [enc.frame.conj()] * n
     perm = np.eye(dim, dtype=np.complex128)[:, image].reshape(-1)
-    gate = kron_apply(frames, perm).reshape(dim, dim)
-    del perm  # not kept alive while the gate is copied and checked
-    return SynthesizedGate(gate, enc, f, "reversible", n)
+    return kron_apply(frames, perm).reshape(dim, dim)
+
+
+def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
+    """Unitary counterpart of a reversible function under an encoding.
+
+    Raises ValueError for irreversible inputs (use quantize_irreversible).
+    """
+    if not f.is_reversible:
+        raise ValueError(
+            "function is not reversible (not a bijection with equal arities); "
+            "use quantize_irreversible for the XOR-target construction"
+        )
+    return SynthesizedGate(_reversible_matrix(f, enc), enc, f, "reversible", f.arity_in)
 
 
 def quantize_irreversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
     """Gate on m+n subsystems implementing |x>|y> -> |x>|f(x) xor y>."""
     closed = reversible_closure(f)
-    gate = quantize_reversible(closed, enc)
-    return SynthesizedGate(gate.matrix, enc, f, "irreversible", closed.arity_in)
+    return SynthesizedGate(_reversible_matrix(closed, enc), enc, f, "irreversible", closed.arity_in)
 
 
 def controlled(u) -> np.ndarray:
@@ -322,11 +325,10 @@ def enumerate_permutation_quantizations(
         raise ValueError(
             f"ambient dimension {dim} exceeds the brute-force cap of {_ENUMERATION_DIM_CAP}"
         )
+    eye = np.eye(dim, dtype=np.complex128)
     out = []
     for perm in itertools.permutations(range(dim)):
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        for j, i in enumerate(perm):
-            p[i, j] = 1.0
+        p = eye[:, perm]
         if is_quantization_of(p, f, enc, _CHECK_TOL):
             out.append(p)
     return out

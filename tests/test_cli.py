@@ -117,6 +117,20 @@ class TestRun:
         assert code == 2 and not out
         assert "line 3, column 1" in err and "'1_0'" in err
 
+    def test_non_unitary_gate_is_domain_error(self, capsys, tmp_path):
+        (tmp_path / "shear.mat").write_text("1 1\n0 1\n")
+        circ = tmp_path / "shear.circ"
+        circ.write_text("encoding qubit\nwidth 1\nshear.mat 0\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "0")
+        assert code == 1 and not out and "not unitary" in err
+
+    def test_bad_target_is_parse_error_at_gate(self, capsys, tmp_path):
+        circ = tmp_path / "range.circ"
+        circ.write_text("encoding qubit\nwidth 2\nCNOT 0 2\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "00")
+        assert code == 2 and not out
+        assert "line 3, column 1: target index 2 out of range for width 2" in err
+
     def test_wrong_input_width_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "run", fx("bell.circ"), "--input", "0")
         assert code == 1 and err

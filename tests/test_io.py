@@ -50,6 +50,21 @@ class TestComplexFormat:
         z = complex(re_part, im_part)
         assert qio.parse_complex(qio.format_complex(z)) == z
 
+    @given(st.text(alphabet="0123456789.eE+-iI", max_size=12))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_python_complex(self, text):
+        """Same value, signed zeros included, as complex() with i read as j,
+        or both reject."""
+
+        def outcome(parse, s):
+            try:
+                return repr(parse(s))
+            except ValueError:
+                return None
+
+        python = outcome(complex, text.replace("i", "j").replace("I", "J"))
+        assert outcome(qio.parse_complex, text) == python
+
     def test_seventeen_digit_values(self):
         z = complex(0.1 + 0.2, -1 / 3)
         assert qio.parse_complex(qio.format_complex(z)) == z
@@ -182,6 +197,28 @@ class TestCircuitFormat:
         with pytest.raises(qio.ParseError, match="duplicate"):
             qio.parse_circuit("encoding qubit\nwidth 2\nCNOT 0 0\n")
 
+    @pytest.mark.parametrize(
+        "statement,message",
+        [
+            ("H 5", "target index 5 out of range for width 2"),
+            ("CNOT 1 1", "duplicate target indices (1, 1)"),
+            ("CNOT 0", "gate of dimension 4 cannot act on 1 target(s)"),
+        ],
+    )
+    def test_step_rule_diagnosed_at_gate_column(self, statement, message):
+        """The simulator's step check, reported at the statement's gate."""
+        with pytest.raises(qio.ParseError) as err:
+            qio.parse_circuit(f"encoding qubit\nwidth 2\n  {statement}\n")
+        (diag,) = err.value.diagnostics
+        assert (diag.line, diag.column) == (3, 3)
+        assert message in diag.message
+
+    def test_non_unitary_gate_parses_but_does_not_build(self, tmp_path):
+        (tmp_path / "shear.mat").write_text("1 1\n0 1\n")
+        doc = qio.parse_circuit("encoding qubit\nwidth 1\nshear.mat 0\n", base_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="not unitary"):
+            doc.to_circuit()
+
     def test_phase_gate_argument(self):
         doc = qio.parse_circuit("encoding qubit\nwidth 1\nR(3.141592653589793) 0\n")
         assert np.allclose(doc.statements[0].matrix, np.diag([1, -1]))
@@ -245,6 +282,11 @@ class TestCircuitFormat:
         assert len(docs) == 1
         (doc,) = docs
         assert len(set(doc.statements + doc.statements)) == len(doc.statements)
+
+    def test_to_circuit_compares_by_value(self):
+        doc = qio.parse_circuit(fixture("bell.circ"), base_dir=FIXTURES)
+        assert doc.to_circuit() == doc.to_circuit()
+        assert len({doc.to_circuit(), doc.to_circuit()}) == 1
 
     def test_to_circuit_runs(self):
         from qlift.simulator import run_circuit

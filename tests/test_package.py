@@ -48,3 +48,13 @@ def test_traced_names_resolve(monkeypatch):
 def test_script_runs(script, capsys):
     runpy.run_path(os.path.join(ROOT, "scripts", script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_library_use_runs(capsys):
+    """The README's documented API is the fixed surface: its example runs."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
+    assert capsys.readouterr().out.startswith("[0.7071")

@@ -60,6 +60,16 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="dimension"):
             sim.apply_gate(en.encode_bits(QUTRIT, "0"), np.eye(2), (0,))
 
+    def test_rejects_non_integer_target(self):
+        """A float target is an error, not truncated to an index."""
+        with pytest.raises(ValueError, match=r"integers, got \(1\.7,\)"):
+            sim.apply_gate(en.encode_bits(QUBIT, "00"), sy.hadamard(), (1.7,))
+
+    def test_numpy_integer_targets_accepted(self):
+        s = en.encode_bits(QUBIT, "10")
+        out = sim.apply_gate(s, sy.cnot(), np.array([0, 1]))
+        assert np.array_equal(out.amplitudes, en.encode_bits(QUBIT, "11").amplitudes)
+
 
 class TestTensorGate:
     # Slices of the printed (2,2,4) flip tensor.
@@ -145,6 +155,92 @@ class TestRunCircuit:
         )
         out = sim.run_circuit(circ, "1")
         assert np.allclose(out.amplitudes, [0, -1])
+
+
+class TestCircuitConstruction:
+    @pytest.mark.parametrize(
+        "step,match",
+        [
+            (sim.CircuitStep("H", (2,)), "out of range"),
+            (sim.CircuitStep("CNOT", (1, 1)), "duplicate"),
+            (sim.CircuitStep("H", (0, 1)), "dimension"),
+            (sim.CircuitStep(np.array([[1, 1], [0, 1]]), (0,)), "not unitary"),
+            (sim.CircuitStep("H", (0.9,)), r"integers, got \(0\.9,\)"),
+            (sim.CircuitStep("FROB", (0,)), "unknown gate"),
+        ],
+    )
+    def test_bad_step_raises_when_built(self, step, match):
+        with pytest.raises(ValueError, match=match):
+            sim.Circuit(QUBIT, 2, (sim.CircuitStep("H", (0,)), step))
+
+    def test_each_step_resolved_and_checked_once(self, monkeypatch):
+        calls = dict.fromkeys(["is_unitary", "named_gate", "QuantumState"], 0)
+
+        def count(name):
+            real = getattr(sim, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(sim, name, wrapper)
+
+        for name in calls:
+            count(name)
+        rng = np.random.default_rng(29)
+        steps = (
+            sim.CircuitStep("H", (0,)),
+            sim.CircuitStep("NOT", (1,)),
+            sim.CircuitStep("SQRT_NOT", (2,)),
+            sim.CircuitStep("CNOT", (0, 2)),
+            sim.CircuitStep("R", (1,), phi=0.5),
+            sim.CircuitStep(random_unitary(rng, 2), (2,)),
+            sim.CircuitStep(random_unitary(rng, 4), (2, 0)),
+            sim.CircuitStep("SWAP", (1, 2)),
+            sim.CircuitStep(sy.cnot(), (1, 0)),
+            sim.CircuitStep("SQRT_NOT", (2,)),
+        )
+        circ = sim.Circuit(QUBIT, 3, steps)
+        assert calls == {"is_unitary": 10, "named_gate": 7, "QuantumState": 0}
+        outs = [sim.run_circuit(circ, "010") for _ in range(3)]
+        assert calls == {"is_unitary": 10, "named_gate": 7, "QuantumState": 3}
+        assert all(np.array_equal(o.amplitudes, outs[0].amplitudes) for o in outs)
+
+    def test_checked_matrices_are_copies(self):
+        g = sy.hadamard()
+        circ = sim.Circuit(QUBIT, 1, (sim.CircuitStep(g, (0,)),))
+        g[:] = np.eye(2)
+        out = sim.run_circuit(circ, "0")
+        assert np.allclose(out.amplitudes, np.array([1, 1]) / np.sqrt(2), atol=1e-15)
+
+
+class TestCircuitEquality:
+    @staticmethod
+    def build(gate=None, targets=(0, 1), phi=0.25):
+        gate = sy.cnot() if gate is None else gate
+        steps = [sim.CircuitStep("H", (0,)), sim.CircuitStep(gate, targets)]
+        return sim.Circuit(QUBIT, 2, tuple(steps + [sim.CircuitStep("R", (1,), phi)]))
+
+    def test_identical_builds_equal_and_hash_equal(self):
+        a, b = self.build(), self.build()
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.steps[1] == b.steps[1] and hash(a.steps[1]) == hash(b.steps[1])
+
+    def test_array_gates_compare_by_value(self):
+        assert self.build() == self.build(gate=sy.cnot().real.tolist())
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(gate=sy.swap()), dict(gate="CNOT"), dict(targets=(1, 0)), dict(phi=0.5)],
+    )
+    def test_any_difference_makes_unequal(self, change):
+        assert self.build() != self.build(**change)
+
+    def test_encoding_and_width_compared(self):
+        assert sim.Circuit(QUBIT, 1, ()) == sim.Circuit(QUBIT, 1, ())
+        assert sim.Circuit(QUBIT, 1, ()) != sim.Circuit(QUBIT, 2, ())
+        assert sim.Circuit(QUBIT, 1, ()) != sim.Circuit(QUTRIT, 1, ())
 
 
 class TestBasisProbabilities:
