@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
 
 def cmd_schmidt(args) -> int:
     try:
-        dim_a, dim_b = (int(x) for x in args.dims.split(","))
+        dim_a, dim_b = (qio._parse_int(x.strip()) for x in args.dims.split(","))
     except ValueError:
         dim_a = dim_b = 0
     if dim_a < 1 or dim_b < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_array, kron, kron_apply
+from .linalg import _norm, _unit, as_array, kron, kron_apply
 
 __all__ = [
     "Encoding",
@@ -162,16 +162,16 @@ class QuantumState:
                 f"state dimension {amps.size} does not match "
                 f"d^n = {self.encoding.ambient_dim}^{self.subsystem_count}"
             )
-        if np.linalg.norm(amps) == 0.0:
+        if _norm(amps) == 0.0:
             raise ValueError("the zero vector is not a state")
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     def normalized(self) -> np.ndarray:
         """Unit-norm copy of the amplitude vector."""
-        return self.amplitudes / self.norm
+        return _unit(self.amplitudes)
 
 
 class StateKind(enum.Enum):

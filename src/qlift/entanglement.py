@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import QuantumState
-from .linalg import as_array, svd, unres
+from .linalg import _norm, _unit, as_array, svd, unres
 
 __all__ = [
     "SchmidtResult",
@@ -77,10 +77,9 @@ def coefficient_matrix(s, dim_a: int, dim_b: int) -> np.ndarray:
 def schmidt(s, dim_a: int, dim_b: int) -> SchmidtResult:
     """Schmidt decomposition of a bipartite state (normalized first)."""
     amps = _amplitudes(s)
-    norm = np.linalg.norm(amps)
-    if norm == 0.0:
+    if _norm(amps) == 0.0:
         raise ValueError("cannot decompose the zero vector")
-    m = coefficient_matrix(amps / norm, dim_a, dim_b)
+    m = coefficient_matrix(_unit(amps), dim_a, dim_b)
     u, vals, v = svd(m)
     rank = int(np.sum(vals > RANK_TOL * vals[0])) if vals[0] > 0 else 0
     return SchmidtResult(vals, rank, u, v.conj())

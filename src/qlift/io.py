@@ -72,7 +72,11 @@ class ParseError(ValueError):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# Numbers are ASCII: Python's int() and float() also take underscores and
+# other scripts' digits, and \d matches those digits too.
+_DIGITS = "[0-9]+"
+_INT_RE = re.compile(rf"[+-]?{_DIGITS}")
+_UNSIGNED = rf"(?:{_DIGITS}(?:\.[0-9]*)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?"
 _FLOAT = rf"[+-]?{_UNSIGNED}"
 # A bare real, or an optional real part followed by a signed (or, without a
 # real part, optionally signed) imaginary coefficient that may be omitted.
@@ -104,6 +108,13 @@ def parse_complex(token: str) -> complex:
     im = m["im"]
     im_val = float(im) if im.strip("+-") else float(im + "1")
     return complex(float(m["re"] or 0.0), im_val)
+
+
+def _parse_int(token: str) -> int:
+    """Parse an integer entry, [+-]?[0-9]+; anything else is a ValueError."""
+    if _INT_RE.fullmatch(token) is None:
+        raise ValueError(f"bad integer {token!r}")
+    return int(token)
 
 
 def _content_lines(text: str):
@@ -178,7 +189,7 @@ def parse_truth_table(text: str) -> ClassicalFunction:
     m = n = None
     if len(words) == 4 and words[0] == "in" and words[2] == "out":
         try:
-            m, n = int(words[1]), int(words[3])
+            m, n = _parse_int(words[1]), _parse_int(words[3])
         except ValueError:
             pass
     if m is None or n is None or m < 1 or n < 1:
@@ -237,7 +248,7 @@ def parse_encoding_file(text: str, name: str = "custom") -> Encoding:
     dim = None
     if len(words) == 2 and words[0] == "dim":
         try:
-            dim = int(words[1])
+            dim = _parse_int(words[1])
         except ValueError:
             pass
     if dim is None or dim < 2:
@@ -386,7 +397,7 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
     width = None
     if toks[0][1] == "width" and len(toks) == 2:
         try:
-            width = int(toks[1][1])
+            width = _parse_int(toks[1][1])
         except ValueError:
             pass
     if width is None or width < 1:
@@ -402,7 +413,7 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
         targets = []
         for col, t in toks[1:]:
             try:
-                targets.append(int(t))
+                targets.append(_parse_int(t))
             except ValueError:
                 diagnostics.append(Diagnostic(ln, col, f"target must be an integer, got {t!r}"))
         if len(targets) < len(toks) - 1:

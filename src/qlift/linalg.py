@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +37,11 @@ __all__ = [
 # the number of sweeps before reporting non-convergence.
 _JACOBI_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 100
+# A column whose squared norm falls below this (a norm of about 1.5e-147 once
+# the input's largest entry is 1) is set to zero: paired with it, the products
+# in a rotation could leave the normal double range, and rotations only shrink
+# the smaller column of a pair, so it never grows back.
+_JACOBI_FLOOR = np.finfo(np.float64).tiny / _JACOBI_TOL
 
 # Eigenphases within this distance of -pi are treated as lying on the branch
 # point and mapped to +pi, so the square root of eigenvalue -1 is +i.
@@ -47,7 +53,17 @@ _CLUSTER_GAP = 1e-6
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine failed to converge within its iteration cap."""
+    """An iterative routine failed to converge within its iteration cap.
+
+    For the Jacobi SVD, `sweeps` is the number of sweeps used and
+    `off_diagonal` the largest remaining column-pair ratio
+    |w_i^dagger w_j| / (||w_i|| ||w_j||).
+    """
+
+    def __init__(self, message: str, sweeps: int | None = None, off_diagonal: float | None = None):
+        super().__init__(message)
+        self.sweeps = sweeps
+        self.off_diagonal = off_diagonal
 
 
 # ndim -> (expected shape, noun) as worded in coercion errors.
@@ -75,6 +91,34 @@ def as_array(a, ndim: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError(f"{noun} contains NaN or Inf entries")
     return out
+
+
+def _prescale(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x * 2**-e, e) for a float64 or complex128 array, with e chosen so
+    that the largest real or imaginary part of the result lies in [0.5, 1);
+    (x, 0) for the zero array.  Scaling by a power of two is exact, and no
+    square or product of scaled entries overflows."""
+    f = np.ascontiguousarray(x).view(np.float64)
+    _, e = math.frexp(float(np.max(np.abs(f), initial=0.0)))
+    return np.ldexp(f, -e).view(x.dtype), e
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm that no square overflows or underflows: scale by the largest
+    entry, take the norm, scale back.  0.0 for the zero array, inf for a norm
+    beyond the double range."""
+    y, e = _prescale(x)
+    try:
+        return math.ldexp(float(np.linalg.norm(y)), e)
+    except OverflowError:
+        return math.inf
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x / ||x|| for a nonzero array, divided after prescaling so that no
+    intermediate leaves the double range."""
+    y, _ = _prescale(x)
+    return y / np.linalg.norm(y)
 
 
 def kron(a, b) -> np.ndarray:
@@ -114,56 +158,95 @@ def kron_apply(mats, x) -> np.ndarray:
 
 def _complete_orthonormal(u: np.ndarray, dead: np.ndarray) -> None:
     """Replace the columns of `u` flagged in `dead` by unit vectors orthogonal
-    to every other column.  Deterministic: candidates are scanned in standard
-    basis order."""
-    m = u.shape[0]
+    to every other column.  Deterministic: each takes the standard basis
+    vector with the largest part outside the span of the others (the first on
+    ties), projected out twice.  That part has norm at least 1/sqrt(rows)."""
     for j in np.flatnonzero(dead):
-        for i in range(m):
-            cand = np.zeros(m, dtype=np.complex128)
-            cand[i] = 1.0
-            cand -= u @ (u.conj().T @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 0.5:
-                u[:, j] = cand / nrm
-                break
-        else:  # pragma: no cover - cannot happen for consistent shapes
-            raise ConvergenceError("failed to complete an orthonormal basis")
+        u[:, j] = 0.0
+        i = int(np.argmin(np.einsum("ik,ik->i", u.conj(), u).real))
+        cand = -(u @ u[i].conj())
+        cand[i] += 1.0
+        cand -= u @ (u.conj().T @ cand)
+        u[:, j] = cand / np.linalg.norm(cand)
 
 
-def _jacobi_orthogonalize(w: np.ndarray) -> np.ndarray:
-    """One-sided (Hestenes) Jacobi: rotate column pairs of `w` in place until
-    all pairs are orthogonal, returning the accumulated right factor."""
-    n = w.shape[1]
-    v = np.eye(n, dtype=np.complex128)
+@functools.lru_cache(maxsize=64)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Round-robin (Brent-Luk parallel) ordering of the column pairs of an
+    n-column matrix: n-1 rounds, for n rounded up to even, each a set of
+    disjoint pairs (i, j) with i < j, covering every pair once per sweep.
+
+    Column 0 stays in place and the others move one seat per round (the
+    circle method).  For odd n, column n is a phantom whose pairs are dropped.
+    """
+    size = n + n % 2
+    ring = list(range(size))
+    rounds = []
+    for _ in range(size - 1):
+        pairs = [(min(a, b), max(a, b)) for a, b in zip(ring[: size // 2], ring[::-1])]
+        i, j = np.array([p for p in pairs if p[1] < n], dtype=np.intp).reshape(-1, 2).T
+        i.setflags(write=False)
+        j.setflags(write=False)
+        rounds.append((i, j))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(rounds)
+
+
+def _off_diagonal(w: np.ndarray) -> float:
+    """Largest |w_i^dagger w_j| / (||w_i|| ||w_j||) over pairs of nonzero
+    columns: the figure the Jacobi skip test holds to _JACOBI_TOL."""
+    gram = np.abs(w.conj().T @ w)
+    d = np.sqrt(np.diag(gram))
+    live = d > 0.0
+    ratio = gram[np.ix_(live, live)] / np.outer(d[live], d[live])
+    np.fill_diagonal(ratio, 0.0)
+    return float(ratio.max(initial=0.0))
+
+
+def _jacobi_orthogonalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided (Hestenes) Jacobi in round-robin order: each round rotates
+    its disjoint column pairs of `w` at once, until a whole sweep finds every
+    pair orthogonal.  Returns the rotated w and the accumulated right factor v,
+    with w_in = w v^dagger."""
+    m, n = w.shape
+    # Row k is column k of w followed by column k of v, so one gather and one
+    # scatter per side of a round move both; wf is a real view of the w part.
+    x = np.concatenate([w.T, np.eye(n, dtype=np.complex128)], axis=1)
+    wf = x.view(np.float64)[:, : 2 * m]
+    rounds = _round_robin(n)
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                wi = w[:, i]
-                wj = w[:, j]
-                alpha = np.vdot(wi, wi).real
-                beta = np.vdot(wj, wj).real
-                gamma = np.vdot(wi, wj)
-                g = abs(gamma)
-                if alpha == 0.0 or beta == 0.0 or g <= _JACOBI_TOL * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                phase = gamma / g
-                tau = (alpha - beta) / (2.0 * g)
-                h = math.hypot(tau, 1.0)
-                t = -1.0 / (tau + h) if tau >= 0.0 else 1.0 / (h - tau)
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                rot = np.array(
-                    [[c, s], [-s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=np.complex128,
-                )
-                w[:, [i, j]] = w[:, [i, j]] @ rot
-                v[:, [i, j]] = v[:, [i, j]] @ rot
+        for i, j in rounds:
+            sq = np.einsum("kl,kl->k", wf, wf)
+            negligible = sq < _JACOBI_FLOOR
+            if negligible.any():
+                wf[negligible] = 0.0
+            xi, xj = x[i], x[j]
+            alpha, beta = sq[i], sq[j]
+            gamma = np.einsum("kl,kl->k", xi[:, :m].conj(), xj[:, :m])
+            g = np.abs(gamma)
+            live = g > _JACOBI_TOL * (np.sqrt(alpha) * np.sqrt(beta))
+            if not live.any():
+                continue
+            rotated = True
+            if not live.all():
+                i, j, xi, xj = i[live], j[live], xi[live], xj[live]
+                alpha, beta, gamma, g = alpha[live], beta[live], gamma[live], g[live]
+            tau = (alpha - beta) / (2.0 * g)
+            t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(tau, 1.0))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            phase = (gamma / g).conj()
+            x[i] = c[:, None] * xi - (s * phase)[:, None] * xj
+            x[j] = s[:, None] * xi + (c * phase)[:, None] * xj
         if not rotated:
-            return v
+            return x[:, :m].T, x[:, m:].T
+    off = _off_diagonal(x[:, :m].T)
     raise ConvergenceError(
-        f"Jacobi SVD did not converge within {_JACOBI_MAX_SWEEPS} sweeps"
+        f"Jacobi SVD did not converge within {_JACOBI_MAX_SWEEPS} sweeps: largest "
+        f"column-pair ratio {off:.3e} above the tolerance {_JACOBI_TOL:.0e}",
+        sweeps=_JACOBI_MAX_SWEEPS,
+        off_diagonal=off,
     )
 
 
@@ -172,19 +255,26 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (u, s, v) with orthonormal columns in u and v, s sorted descending,
     and m = u @ diag(s) @ v.conj().T.  Economy-sized: s has min(rows, cols)
-    entries.  Raises ConvergenceError if the sweep cap is exceeded.
+    entries.  The input is scaled by a power of two near its largest entry
+    first and s scaled back, so no square in the sweeps overflows or
+    underflows; singular values below about 1.5e-147 times the largest entry
+    come back as 0 (see _JACOBI_FLOOR).  Raises ValueError if the largest
+    singular value exceeds the double range and ConvergenceError if the sweep
+    cap is exceeded.
     """
     a = as_array(m, 2)
     rows, cols = a.shape
     transposed = rows < cols
-    w = a.conj().T.copy() if transposed else a.copy()
-    r = _jacobi_orthogonalize(w)
+    w, e = _prescale(a.conj().T if transposed else a)
+    w, r = _jacobi_orthogonalize(w)
 
     norms = np.linalg.norm(w, axis=0)
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
     w = w[:, order]
     r = r[:, order]
+    if math.frexp(norms[0])[1] + e > np.finfo(np.float64).maxexp:
+        raise ValueError("the largest singular value exceeds the double range")
 
     dead = norms == 0.0
     left = np.where(dead, 1.0, norms)
@@ -192,9 +282,10 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if dead.any():
         _complete_orthonormal(uw, dead)
 
+    sigma = np.ldexp(norms, e)
     if transposed:
-        return r, norms, uw
-    return uw, norms, r
+        return r, sigma, uw
+    return uw, sigma, r
 
 
 def _eig_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -92,7 +92,9 @@ def _resolve(step: CircuitStep, enc: Encoding) -> np.ndarray:
 class Circuit:
     """Steps on `width` subsystems of an encoding.  Building it resolves and
     checks every step (targets, dimension, unitarity): a bad step raises
-    ValueError here.  Circuits compare by encoding, width and steps."""
+    ValueError here.  A named gate is resolved and checked for unitarity once
+    per distinct (name, phi), however many steps use it.  Circuits compare by
+    encoding, width and steps."""
 
     encoding: Encoding
     width: int
@@ -104,15 +106,25 @@ class Circuit:
         if self.width < 1:
             raise ValueError("circuit width must be positive")
         object.__setattr__(self, "steps", tuple(self.steps))
+        named: dict[tuple[str, float | None], np.ndarray] = {}
         checked = []
         for step in self.steps:
+            key = (step.gate, step.phi) if isinstance(step.gate, str) else None
+            gm = named.get(key)
+            fresh = gm is None
             gm, targets = _check_step(
-                _resolve(step, self.encoding), step.targets, self.encoding.ambient_dim, self.width
+                _resolve(step, self.encoding) if fresh else gm,
+                step.targets,
+                self.encoding.ambient_dim,
+                self.width,
             )
-            if not is_unitary(gm, _GATE_UNITARY_TOL):
-                raise ValueError("gate matrix is not unitary")
-            gm = gm.copy()
-            gm.setflags(write=False)
+            if fresh:
+                if not is_unitary(gm, _GATE_UNITARY_TOL):
+                    raise ValueError("gate matrix is not unitary")
+                gm = gm.copy()
+                gm.setflags(write=False)
+                if key is not None:
+                    named[key] = gm
             checked.append((gm, targets))
         object.__setattr__(self, "_checked", tuple(checked))
 

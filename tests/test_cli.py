@@ -38,6 +38,22 @@ class TestSynth:
         assert code == 0
         assert len(out.strip().splitlines()) == 4  # two-qubit gate
 
+    @pytest.mark.parametrize(
+        "table,encoding",
+        [
+            ("in \u0661 out 1\n0 -> 1\n1 -> 0\n", "qubit"),
+            ("in 1 out 1_0\n0 -> 1\n1 -> 0\n", "qubit"),
+            ("in 1 out 1\n0 -> 1\n1 -> 0\n", "dim 1_0\n0:\n1 0\n1:\n0 1\n"),
+        ],
+    )
+    def test_non_ascii_integer_header_is_parse_error(self, capsys, tmp_path, table, encoding):
+        (tmp_path / "t.tt").write_text(table)
+        if encoding != "qubit":
+            (tmp_path / "e.enc").write_text(encoding)
+            encoding = str(tmp_path / "e.enc")
+        code, out, err = run_cli(capsys, "synth", str(tmp_path / "t.tt"), "--encoding", encoding)
+        assert code == 2 and not out and "expected header" in err
+
     def test_custom_encoding_file(self, capsys):
         code, out, _ = run_cli(
             capsys, "synth", fx("not.tt"), "--encoding", fx("qutrit_like.enc")
@@ -117,6 +133,15 @@ class TestRun:
         assert code == 2 and not out
         assert "line 3, column 1" in err and "'1_0'" in err
 
+    @pytest.mark.parametrize(
+        "header,statement", [("width 1_1", "NOT 0"), ("width 2", "NOT 1_0"), ("width 2", "H \u0661")]
+    )
+    def test_non_ascii_integer_is_parse_error(self, capsys, tmp_path, header, statement):
+        circ = tmp_path / "int.circ"
+        circ.write_text(f"encoding qubit\n{header}\n{statement}\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "00")
+        assert code == 2 and not out and "line" in err
+
     def test_non_unitary_gate_is_domain_error(self, capsys, tmp_path):
         (tmp_path / "shear.mat").write_text("1 1\n0 1\n")
         circ = tmp_path / "shear.circ"
@@ -155,6 +180,11 @@ class TestSchmidt:
         assert code == 2 and "--dims" in err
         code, _, err = run_cli(capsys, "schmidt", fx("bell_state.vec"), "--dims=-2,-2")
         assert code == 2 and "--dims" in err
+        for dims in ("1_2,2", "\u0662,2", "2,+2_0"):
+            code, _, err = run_cli(capsys, "schmidt", fx("bell_state.vec"), "--dims", dims)
+            assert code == 2 and "--dims" in err
+        code, out, _ = run_cli(capsys, "schmidt", fx("bell_state.vec"), "--dims", "+2, 2")
+        assert code == 0 and "rank: 2" in out
 
 
 class TestEnumerate:

@@ -253,6 +253,21 @@ class TestQuantumState:
         assert abs(s.norm - np.sqrt(2)) < 1e-15
         assert abs(np.linalg.norm(s.normalized()) - 1) < 1e-15
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-160, 1e160, 1e300])
+    def test_norm_at_any_scale(self, scale):
+        """No square of an amplitude is formed unscaled: a tiny state is not
+        mistaken for the zero vector, and a huge one does not overflow."""
+        q = en.builtin_encoding("qubit")
+        s = en.QuantumState(np.array([1, 1j]) * scale, q, 1)
+        assert s.norm == pytest.approx(np.sqrt(2) * scale, rel=1e-15 if scale > 1e-300 else 1e-3)
+        assert np.allclose(s.normalized(), np.array([1, 1j]) / np.sqrt(2), rtol=0, atol=1e-15)
+
+    def test_norm_beyond_double_range(self):
+        q = en.builtin_encoding("qubit")
+        s = en.QuantumState([1.5e308, -1.5e308j], q, 1)
+        assert s.norm == np.inf
+        assert np.allclose(s.normalized(), np.array([1, -1j]) / np.sqrt(2), rtol=0, atol=1e-15)
+
     def test_amplitudes_read_only(self):
         q = en.builtin_encoding("qubit")
         s = en.QuantumState([1, 0], q, 1)

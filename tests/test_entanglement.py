@@ -86,6 +86,20 @@ class TestSchmidt:
         with pytest.raises(ValueError, match="zero"):
             ent.schmidt(np.zeros(4), 2, 2)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300, 1.7e308])
+    def test_any_scale(self, scale):
+        """Extreme amplitudes give the coefficients of the scaled-down state."""
+        s = random_state_vector(np.random.default_rng(89), 12)
+        want = ent.schmidt(s, 3, 4)
+        got = ent.schmidt(s / np.max(np.abs(s)) * scale, 3, 4)
+        assert np.allclose(got.coefficients, want.coefficients, rtol=0, atol=1e-13)
+        assert got.rank == want.rank
+
+    def test_smallest_subnormal_amplitudes(self):
+        got = ent.schmidt(np.array([1, 0, 0, 1j]) * 5e-324, 2, 2)
+        assert np.allclose(got.coefficients, [2**-0.5] * 2, rtol=0, atol=1e-15)
+        assert got.rank == 2
+
 
 class TestClassifyBipartite:
     def test_bell_state_entangled(self):

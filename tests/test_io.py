@@ -157,6 +157,60 @@ class TestEncodingFile:
             qio.parse_encoding_file("0:\n1 0\n1:\n0 1\n")
 
 
+class TestIntegerSyntax:
+    """Integers in every format are ASCII [+-]?[0-9]+: no underscores and no
+    digits of other scripts, which int() would read."""
+
+    BAD = ["1_1", "\u0661", "1.0", "0x1", "\uff11"]
+
+    @pytest.mark.parametrize("token", BAD)
+    def test_circuit_width(self, token):
+        with pytest.raises(qio.ParseError, match="expected 'width <n>'"):
+            qio.parse_circuit(f"encoding qubit\nwidth {token}\nH 0\n")
+
+    @pytest.mark.parametrize("token", BAD)
+    def test_circuit_target(self, token):
+        with pytest.raises(qio.ParseError) as err:
+            qio.parse_circuit(f"encoding qubit\nwidth 2\nCNOT 0 {token}\n")
+        (diag,) = err.value.diagnostics
+        assert (diag.line, diag.column) == (3, 8)
+        assert diag.message == f"target must be an integer, got {token!r}"
+
+    @pytest.mark.parametrize("header", [f"in {t} out 1" for t in BAD] + [f"in 1 out {t}" for t in BAD])
+    def test_truth_table_header(self, header):
+        with pytest.raises(qio.ParseError, match="expected header 'in <m> out <n>'"):
+            qio.parse_truth_table(f"{header}\n0 -> 1\n1 -> 0\n")
+
+    @pytest.mark.parametrize("token", BAD + ["\u0662"])
+    def test_encoding_dim(self, token):
+        with pytest.raises(qio.ParseError, match="expected header 'dim <d>'"):
+            qio.parse_encoding_file(f"dim {token}\n0:\n1 0\n1:\n0 1\n")
+
+    def test_signs_reach_the_range_checks(self):
+        """-1 and +0 are integers; the range diagnostics judge them."""
+        with pytest.raises(qio.ParseError, match="expected 'width <n>' with n >= 1"):
+            qio.parse_circuit("encoding qubit\nwidth +0\nH 0\n")
+        with pytest.raises(qio.ParseError, match="expected 'width <n>' with n >= 1"):
+            qio.parse_circuit("encoding qubit\nwidth -1\nH 0\n")
+        with pytest.raises(qio.ParseError, match="target index -1 out of range for width 2"):
+            qio.parse_circuit("encoding qubit\nwidth 2\nH -1\n")
+        with pytest.raises(qio.ParseError, match="expected header 'in <m> out <n>'"):
+            qio.parse_truth_table("in -1 out 1\n0 -> 1\n1 -> 0\n")
+        with pytest.raises(qio.ParseError, match="expected header 'dim <d>' with d >= 2"):
+            qio.parse_encoding_file("dim -2\n0:\n1 0\n1:\n0 1\n")
+        doc = qio.parse_circuit("encoding qubit\nwidth +2\nCNOT +1 -0\n")
+        assert doc.width == 2 and doc.statements[0].targets == (1, 0)
+        assert qio.parse_truth_table("in +1 out 01\n0 -> 1\n1 -> 0\n").arity_out == 1
+        assert qio.parse_encoding_file("dim +2\n0:\n1 0\n1:\n0 1\n").ambient_dim == 2
+
+    @pytest.mark.parametrize("token", ["\u0661", "\u0661.5", "2e\u0663", "\u0663i", "1+\u0662i"])
+    def test_scalars_take_ascii_digits_only(self, token):
+        with pytest.raises(ValueError, match="bad (numeric|complex) entry"):
+            qio.parse_complex(token)
+        with pytest.raises(qio.ParseError, match="R expects a real angle"):
+            qio.parse_circuit(f"encoding qubit\nwidth 1\nR({token}) 0\n")
+
+
 class TestCircuitFormat:
     def test_two_step_circuit(self):
         doc = qio.parse_circuit("encoding qubit\nwidth 2\nH 0\nCNOT 0 1\n")

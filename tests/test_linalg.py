@@ -1,9 +1,10 @@
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlift import linalg as la
@@ -153,10 +154,129 @@ class TestSvd:
         with pytest.raises(ValueError):
             la.svd(np.zeros((0, 2)))
 
+    def test_singular_values_beyond_double_range_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the double range"):
+            la.svd(np.full((2, 2), 1.5e308))
+        _, s, _ = la.svd(np.diag([1.7e308, -1e170j]))
+        assert s == pytest.approx([1.7e308, 1e170], rel=1e-15)
+
+    def test_columns_below_the_floor_count_as_zero(self):
+        """A singular value under about 1.5e-147 of the largest entry is 0."""
+        u, s, v = la.svd(np.diag([1.0, 1e-140, 1e-150]))
+        assert s[0] == 1.0 and s[1] == pytest.approx(1e-140, rel=1e-15) and s[2] == 0.0
+        assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-15)
+
     def test_sweep_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(la.ConvergenceError, match="converge"):
             la.svd(np.ones((2, 2)))
+
+
+def assert_valid_svd(a):
+    """svd(a) reconstructs a, has orthonormal factors and descending values,
+    and matches LAPACK on a divided by its largest entry (so the reference
+    squares nothing out of range)."""
+    u, s, v = la.svd(a)
+    k = min(a.shape)
+    assert u.shape == (a.shape[0], k) and s.shape == (k,) and v.shape == (a.shape[1], k)
+    assert np.all(np.diff(s) <= 0)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(k)) <= 1e-12
+    assert np.linalg.norm(v.conj().T @ v - np.eye(k)) <= 1e-12
+    scale = np.max(np.abs(a))
+    ref = np.linalg.svd(a / scale, compute_uv=False)
+    assert np.all(np.abs(s / scale - ref) <= 1e-12 * ref[0])
+    rec = (u * (s / scale)) @ v.conj().T
+    assert np.linalg.norm(rec - a / scale) <= 1e-10 * np.linalg.norm(a / scale)
+
+
+def with_spectrum(rng, rows, cols, spectrum):
+    """rows x cols matrix with the given nonzero singular values."""
+    r = len(spectrum)
+    return (random_unitary(rng, rows)[:, :r] * spectrum) @ random_unitary(rng, cols)[:, :r].conj().T
+
+
+shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
+exponents = st.integers(-300, 300)
+seeds = st.integers(0, 2**32 - 1)
+
+
+class TestSvdProperties:
+    @given(shapes, exponents, seeds)
+    @example((1, 7), 300, 0)
+    @example((7, 1), -300, 0)
+    @example((6, 5), -300, 1)
+    @example((5, 9), 300, 2)
+    @settings(max_examples=150, deadline=None)
+    def test_full_rank_at_any_scale(self, shape, exponent, seed):
+        rng = np.random.default_rng(seed)
+        assert_valid_svd(random_complex(rng, shape) * 10.0**exponent)
+
+    @given(shapes, st.data(), exponents, seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_rank_deficient(self, shape, data, exponent, seed):
+        rows, cols = shape
+        rank = data.draw(st.integers(1, max(1, min(shape) - 1)))
+        rng = np.random.default_rng(seed)
+        a = with_spectrum(rng, rows, cols, rng.uniform(0.1, 1.0, rank)) * 10.0**exponent
+        assert_valid_svd(a)
+        _, s, _ = la.svd(a)
+        assert np.all(s[rank:] <= 1e-13 * s[0])
+
+    @given(shapes, exponents, seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_exactly_zero_and_repeated_columns(self, shape, exponent, seed):
+        """Columns that are exact zeros or exact copies: some singular values
+        are exactly or nearly zero and their u columns must be completed."""
+        rows, cols = shape
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, shape) * 10.0**exponent
+        a[:, rng.integers(0, cols)] = 0.0
+        if cols > 1:
+            a[:, -1] = a[:, 0]
+        if np.any(a):
+            assert_valid_svd(a)
+
+    @given(st.sampled_from([1e-11, 1e-13]), st.integers(2, 8), exponents, seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_near_degenerate_spectrum(self, gap, size, exponent, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.1, 1.0, size // 2)
+        spectrum = np.sort(np.concatenate([base, base * (1 + gap), [0.05] * (size % 2)]))[::-1]
+        assert_valid_svd(with_spectrum(rng, size, size, spectrum) * 10.0**exponent)
+
+    @given(shapes, exponents, seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_columns_graded_over_300_orders(self, shape, exponent, seed):
+        """Columns scaled from 1 down to 1e-300: the squares of the small ones
+        underflow, and their u columns must still be orthonormal."""
+        rng = np.random.default_rng(seed)
+        grades = 10.0 ** np.concatenate([[0.0], rng.uniform(-300, 0, shape[1] - 1)])
+        assert_valid_svd(random_complex(rng, shape) * grades * 10.0**exponent)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_round_robin_covers_each_pair_once_per_sweep(self, n):
+        rounds = la._round_robin(n)
+        assert len(rounds) == n - 1 + n % 2
+        seen = []
+        for i, j in rounds:
+            assert len(i) == len(j) == n // 2
+            assert np.all(i < j)
+            assert len(set(i.tolist() + j.tolist())) == 2 * len(i)
+            seen += zip(i.tolist(), j.tolist())
+        assert sorted(seen) == list(itertools.combinations(range(n), 2))
+
+    def test_convergence_error_carries_figures(self, monkeypatch):
+        monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(la.ConvergenceError, match="converge") as err:
+            la.svd(random_complex(np.random.default_rng(3), (8, 8)))
+        assert err.value.sweeps == 1
+        assert la._JACOBI_TOL < err.value.off_diagonal < 1.0
+        assert f"{err.value.off_diagonal:.3e}" in str(err.value)
+        monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(la.ConvergenceError) as err:
+            la.svd(np.ones((2, 2)))
+        assert err.value.sweeps == 0
+        assert err.value.off_diagonal == pytest.approx(1.0)
 
 
 class TestPrincipalSqrt:

@@ -201,10 +201,34 @@ class TestCircuitConstruction:
             sim.CircuitStep("SQRT_NOT", (2,)),
         )
         circ = sim.Circuit(QUBIT, 3, steps)
-        assert calls == {"is_unitary": 10, "named_gate": 7, "QuantumState": 0}
+        # Six distinct named gates (SQRT_NOT twice) and three array gates.
+        assert calls == {"is_unitary": 9, "named_gate": 6, "QuantumState": 0}
         outs = [sim.run_circuit(circ, "010") for _ in range(3)]
-        assert calls == {"is_unitary": 10, "named_gate": 7, "QuantumState": 3}
+        assert calls == {"is_unitary": 9, "named_gate": 6, "QuantumState": 3}
         assert all(np.array_equal(o.amplitudes, outs[0].amplitudes) for o in outs)
+
+    def test_named_gate_synthesized_once_per_circuit(self, monkeypatch):
+        """Ten SQRT_NOT steps synthesize NOT and take its root once; R steps
+        with different angles are distinct gates."""
+        calls = {"quantize_reversible": 0, "principal_unitary_sqrt": 0}
+        for name in calls:
+            real = getattr(sy, name)
+
+            def wrapper(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(sy, name, wrapper)
+        ququart = en.builtin_encoding("ququart")
+        steps = tuple(sim.CircuitStep("SQRT_NOT", (t,)) for t in (0, 0, 1, 1, 1, 1, 2, 2, 2, 2))
+        circ = sim.Circuit(ququart, 3, steps)
+        assert calls == {"quantize_reversible": 1, "principal_unitary_sqrt": 1}
+        assert all(gm is circ._checked[0][0] for gm, _ in circ._checked)
+        # Two roots of NOT on subsystem 0 and four on each other one.
+        out = sim.run_circuit(circ, "000")
+        assert np.allclose(out.amplitudes, en.encode_bits(ququart, "100").amplitudes, atol=1e-12)
+        phases = sim.Circuit(QUBIT, 1, (sim.CircuitStep("R", (0,), 0.5), sim.CircuitStep("R", (0,), 0.25)))
+        assert np.allclose(sim.run_circuit(phases, "1").amplitudes, [0, np.exp(0.75j)], atol=1e-15)
 
     def test_checked_matrices_are_copies(self):
         g = sy.hadamard()
