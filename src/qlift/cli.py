@@ -7,11 +7,13 @@ non-unitary input), 2 on a parse error (malformed files or arguments).
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import sys
 
 from . import io as qio
-from .entanglement import classify_bipartite, schmidt
+from .entanglement import _separability, schmidt
 from .linalg import ConvergenceError, principal_unitary_sqrt
 from .simulator import basis_probabilities, run_circuit
 from .synthesis import (
@@ -93,10 +95,9 @@ def cmd_schmidt(args) -> int:
         )
     vec = qio.parse_state(qio._read_file(args.state))
     result = schmidt(vec, dim_a, dim_b)
-    verdict = classify_bipartite(vec, dim_a, dim_b)
     print("coefficients:", " ".join(repr(float(c)) for c in result.coefficients))
     print("rank:", result.rank)
-    print("classification:", verdict.value)
+    print("classification:", _separability(result.rank).value)
     return 0
 
 
@@ -112,16 +113,22 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    token = args.tol.strip()
+    tol = float(token) if re.fullmatch(qio._FLOAT, token) else math.nan
+    if not 0 <= tol < math.inf:
+        raise qio.ParseError(
+            [qio.Diagnostic(1, 1, f"--tol expects a finite number >= 0, got {args.tol!r}")]
+        )
     m = qio.parse_matrix(qio._read_file(args.matrix))
     f = _load_table(args.table)
     enc = qio._resolve_encoding(args.encoding)
-    report = quantization_report(m, f, enc, args.tol)
+    report = quantization_report(m, f, enc, tol)
     print("verdict:", "true" if report.ok else "false")
     print(f"unitarity residual: {report.unitarity_residual:.3e}")
     for check in report.subspace_checks:
         print(check.describe())
     if report.complement_residual is not None:
-        status = "ok" if report.complement_residual <= args.tol else "VIOLATED"
+        status = "ok" if report._complement_ok else "VIOLATED"
         print(f"fixed complement: {status} (residual {report.complement_residual:.3e})")
     for msg in report.failures():
         print("failure:", msg)
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix file")
     p.add_argument("table", help="truth table file")
     p.add_argument("--encoding", default="qubit")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", default="1e-9")
     p.set_defaults(func=cmd_verify)
 
     return parser

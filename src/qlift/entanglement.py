@@ -85,7 +85,10 @@ def schmidt(s, dim_a: int, dim_b: int) -> SchmidtResult:
     return SchmidtResult(vals, rank, u, v.conj())
 
 
+def _separability(rank: int) -> Separability:
+    return Separability.SEPARABLE if rank == 1 else Separability.ENTANGLED
+
+
 def classify_bipartite(s, dim_a: int, dim_b: int) -> Separability:
     """Separable iff the Schmidt rank is 1, entangled otherwise."""
-    result = schmidt(s, dim_a, dim_b)
-    return Separability.SEPARABLE if result.rank == 1 else Separability.ENTANGLED
+    return _separability(schmidt(s, dim_a, dim_b).rank)

@@ -43,6 +43,10 @@ _JACOBI_MAX_SWEEPS = 100
 # the smaller column of a pair, so it never grows back.
 _JACOBI_FLOOR = np.finfo(np.float64).tiny / _JACOBI_TOL
 
+# Entries below 2**_GRAM_EXP keep the Gram matrix a^dagger a and the squares
+# of its entries inside the double range; see _unitarity_residual.
+_GRAM_EXP = 200
+
 # Eigenphases within this distance of -pi are treated as lying on the branch
 # point and mapped to +pi, so the square root of eigenvalue -1 is +i.
 _BRANCH_SNAP = 1e-12
@@ -103,15 +107,35 @@ def _prescale(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(f, -e).view(x.dtype), e
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, inf beyond the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def _norm(x: np.ndarray) -> float:
     """2-norm that no square overflows or underflows: scale by the largest
     entry, take the norm, scale back.  0.0 for the zero array, inf for a norm
     beyond the double range."""
     y, e = _prescale(x)
-    try:
-        return math.ldexp(float(np.linalg.norm(y)), e)
-    except OverflowError:
-        return math.inf
+    return _ldexp(float(np.linalg.norm(y)), e)
+
+
+def _unitarity_residual(a: np.ndarray) -> float:
+    """||a^dagger a - I||_F for a square matrix, inf beyond the double range.
+
+    A largest entry of 2**e with e above _GRAM_EXP is scaled by 2**-k, k =
+    e - _GRAM_EXP, first: then a^dagger a - I = 4**k (b^dagger b - 4**-k I)
+    for b = 2**-k a, and no product or square overflows.  Underflow in the
+    Gram matrix does no harm, as it is subtracted from I."""
+    _, e = math.frexp(float(np.abs(a).max()))
+    k = max(e - _GRAM_EXP, 0)
+    b = a * math.ldexp(1.0, -k) if k else a
+    gram = b.conj().T @ b
+    gram.reshape(-1)[:: len(b) + 1] -= math.ldexp(1.0, -2 * k)
+    return _ldexp(float(np.linalg.norm(gram)), 2 * k)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -384,30 +408,33 @@ def equal_up_to_phase(a, b, tol: float) -> complex | None:
     """Return the phase e^{i phi} with ||a - e^{i phi} b|| <= tol*||b||, if any.
 
     The candidate phase is read off the largest-modulus entry of b (first one
-    in row-major order on ties); None if no unimodular phase works.
+    in row-major order on ties); None if no unimodular phase works.  a and b
+    are scaled by one power of two first and the norms are scale-safe, so the
+    answer holds across the whole double range.
     """
     am = as_array(a, 2)
     bm = as_array(b, 2)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
+    (am, bm), _ = _prescale(np.stack([am, bm]))
     flat_b = bm.reshape(-1)
     k = int(np.argmax(np.abs(flat_b)))
-    b_norm = np.linalg.norm(bm)
-    if abs(flat_b[k]) == 0.0:
-        return 1.0 + 0.0j if np.linalg.norm(am) <= tol * b_norm else None
-    ratio = am.reshape(-1)[k] / flat_b[k]
-    if abs(ratio) == 0.0:
+    a_k, b_k = complex(am.reshape(-1)[k]), complex(flat_b[k])
+    b_norm = _norm(bm)
+    if b_k == 0.0:
+        return 1.0 + 0.0j if _norm(am) <= tol * b_norm else None
+    if a_k == 0.0:
         return None
-    phase = ratio / abs(ratio)
-    if np.linalg.norm(am - phase * bm) <= tol * b_norm:
-        return complex(phase)
+    phase = a_k / abs(a_k) * (b_k / abs(b_k)).conjugate()
+    if _norm(am - phase * bm) <= tol * b_norm:
+        return phase
     return None
 
 
 def is_unitary(m, tol: float) -> bool:
-    """True iff ||m† m - I||_F <= tol.  Raises ValueError for non-square input."""
+    """True iff ||m† m - I||_F <= tol, at any scale.  Raises ValueError for
+    non-square input."""
     a = as_array(m, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError("is_unitary requires a square matrix")
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    return bool(np.linalg.norm(a.conj().T @ a - eye) <= tol)
+    return bool(_unitarity_residual(a) <= tol)

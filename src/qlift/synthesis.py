@@ -14,12 +14,12 @@ enumerate every 0/1 permutation matrix that does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encodings import Encoding, _check_bits
-from .linalg import as_array, is_unitary, kron_apply, principal_unitary_sqrt
+from .linalg import _unitarity_residual, as_array, is_unitary, kron_apply, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -48,31 +48,41 @@ _CHECK_TOL = 1e-9
 _ENUMERATION_DIM_CAP = 8
 
 
+def _bit_strings(n: int) -> list[str]:
+    """The n-bit strings in index order: entry i is i in binary, most
+    significant bit first."""
+    return [format(i, f"0{n}b") for i in range(2**n)]
+
+
 @dataclass(frozen=True)
 class ClassicalFunction:
-    """Total truth table f: {0,1}^m -> {0,1}^n."""
+    """Total truth table f: {0,1}^m -> {0,1}^n.  The read-only `image[i]` is
+    the output of the i-th input, both read as binary numbers (_bit_strings)."""
 
     arity_in: int
     arity_out: int
     table: dict[str, str]
+    image: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity_in < 1 or self.arity_out < 1:
             raise ValueError("arities must be positive")
-        inputs = {format(i, f"0{self.arity_in}b") for i in range(2**self.arity_in)}
-        got = set(self.table)
-        if got != inputs:
-            missing = sorted(inputs - got)
-            extra = sorted(got - inputs)
-            parts = []
-            if missing:
-                parts.append(f"missing inputs {missing}")
-            if extra:
-                parts.append(f"unexpected inputs {extra}")
+        inputs = _bit_strings(self.arity_in)
+        missing = sorted(set(inputs) - set(self.table))
+        extra = sorted(set(self.table) - set(inputs))
+        if missing or extra:
+            parts = [f"missing inputs {missing}"] if missing else []
+            parts += [f"unexpected inputs {extra}"] if extra else []
             raise ValueError("truth table is not total: " + ", ".join(parts))
         for k, v in self.table.items():
             _check_bits(v, self.arity_out, f"output for {k}")
         object.__setattr__(self, "table", dict(self.table))
+        image = np.array([int(self.table[x], 2) for x in inputs], dtype=np.intp)
+        image.setflags(write=False)
+        object.__setattr__(self, "image", image)
+
+    def __hash__(self):
+        return hash((self.arity_in, self.arity_out, self.image.tobytes()))
 
     def __call__(self, bits: str) -> str:
         _check_bits(bits, self.arity_in)
@@ -80,11 +90,18 @@ class ClassicalFunction:
 
     @property
     def is_reversible(self) -> bool:
-        return self.arity_in == self.arity_out and len(set(self.table.values())) == len(self.table)
+        return self.arity_in == self.arity_out and len(set(self.image.tolist())) == self.image.size
+
+    @classmethod
+    def _from_image(cls, arity_in: int, arity_out: int, image) -> "ClassicalFunction":
+        outputs = _bit_strings(arity_out)
+        return cls(arity_in, arity_out, dict(zip(_bit_strings(arity_in), (outputs[y] for y in image))))
 
     @classmethod
     def from_pairs(cls, pairs) -> "ClassicalFunction":
         table = dict(pairs)
+        if not table:
+            raise ValueError("a truth table needs at least one (input, output) pair")
         key = next(iter(table))
         return cls(len(key), len(table[key]), table)
 
@@ -94,41 +111,25 @@ class ClassicalFunction:
 
     @classmethod
     def identity(cls, n: int = 1) -> "ClassicalFunction":
-        return cls(n, n, {format(i, f"0{n}b"): format(i, f"0{n}b") for i in range(2**n)})
+        return cls._from_image(n, n, range(2**n))
 
     @classmethod
     def constant(cls, arity_in: int, output: str) -> "ClassicalFunction":
-        return cls(
-            arity_in,
-            len(output),
-            {format(i, f"0{arity_in}b"): output for i in range(2**arity_in)},
-        )
+        return cls(arity_in, len(output), dict.fromkeys(_bit_strings(arity_in), output))
 
 
 def compose(f: ClassicalFunction, g: ClassicalFunction) -> ClassicalFunction:
     """The function x -> f(g(x))."""
     if g.arity_out != f.arity_in:
         raise ValueError("arity mismatch in composition")
-    return ClassicalFunction(
-        g.arity_in, f.arity_out, {x: f(g(x)) for x in g.table}
-    )
-
-
-def _xor(a: str, b: str) -> str:
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    return ClassicalFunction._from_image(g.arity_in, f.arity_out, f.image[g.image])
 
 
 def reversible_closure(f: ClassicalFunction) -> ClassicalFunction:
     """The bijection (x, y) -> (x, f(x) xor y) on m+n bits."""
     m, n = f.arity_in, f.arity_out
-    table = {}
-    for i in range(2**m):
-        x = format(i, f"0{m}b")
-        fx = f(x)
-        for j in range(2**n):
-            y = format(j, f"0{n}b")
-            table[x + y] = x + _xor(fx, y)
-    return ClassicalFunction(m + n, m + n, table)
+    x, y = np.divmod(np.arange(2 ** (m + n)), 2**n)
+    return ClassicalFunction._from_image(m + n, m + n, x << n | (f.image[x] ^ y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +162,8 @@ def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
     labels = np.indices((d,) * n).reshape(n, -1)
     bits = labels // k
     logical = (bits < 2).all(axis=0)
-    outputs = np.array([list(f(format(i, f"0{n}b"))) for i in range(2**n)], dtype=int)
-    out_bits = outputs[np.ravel_multi_index(np.minimum(bits, 1), (2,) * n)].T
+    outputs = f.image[np.ravel_multi_index(np.minimum(bits, 1), (2,) * n)]
+    out_bits = outputs >> np.arange(n - 1, -1, -1)[:, None] & 1
     image = np.ravel_multi_index(np.where(logical, out_bits * k + labels % k, labels), (d,) * n)
     # One contraction of the row-major flattened P.  P is built complex so
     # that the contraction makes no converted copy of it; it is freed on
@@ -235,13 +236,11 @@ class QuantizationReport:
 
     @property
     def ok(self) -> bool:
-        if not self.unitary:
-            return False
-        if any(not c.ok for c in self.subspace_checks):
-            return False
-        if self.complement_residual is not None and self.complement_residual > self.tol:
-            return False
-        return True
+        return not self.failures()
+
+    @property
+    def _complement_ok(self) -> bool:
+        return self.complement_residual is None or self.complement_residual <= self.tol
 
     def failures(self) -> list[str]:
         out = []
@@ -253,7 +252,7 @@ class QuantizationReport:
                     f"image of logical subspace '{c.bits_in}' leaks outside "
                     f"logical subspace '{c.bits_out}' (residual {c.residual:.3e})"
                 )
-        if self.complement_residual is not None and self.complement_residual > self.tol:
+        if not self._complement_ok:
             out.append(
                 f"fixed complement is not preserved (residual {self.complement_residual:.3e})"
             )
@@ -264,8 +263,10 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     """Check whether u realizes f under enc, with per-subspace diagnostics.
 
     For irreversible f the check runs against the reversible closure
-    |x>|y> -> |x>|f(x) xor y>.
+    |x>|y> -> |x>|f(x) xor y>.  Raises ValueError for a NaN or negative tol.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     um = as_array(u, 2)
     if um.shape[0] != um.shape[1]:
         raise ValueError("expected a square matrix")
@@ -277,8 +278,7 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
             f"matrix dimension {um.shape[0]} does not match d^n = "
             f"{enc.ambient_dim}^{n} = {dim}"
         )
-    eye = np.eye(dim)
-    unit_res = float(np.linalg.norm(um.conj().T @ um - eye))
+    unit_res = _unitarity_residual(um)
     # Squared entries of frame^dagger u frame summed per (row class, column
     # class) tuple: mass[i, j] is how much of class tuple j lands in tuple i.
     frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
@@ -289,12 +289,11 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     # outside its target, summed with the target zeroed: subtracting it from
     # a column total of k^n would leave ~1e-8 of rounding after the sqrt.
     code = np.ravel_multi_index(np.unravel_index(np.arange(2**n), (2,) * n), (r,) * n)
-    inputs = [format(i, f"0{n}b") for i in range(2**n)]
-    outputs = [g(x) for x in inputs]
     leak = mass[:, code]
-    leak[code[[int(y, 2) for y in outputs]], np.arange(2**n)] = 0.0
+    leak[code[g.image], np.arange(2**n)] = 0.0
     residuals = np.sqrt(leak.sum(axis=0)).tolist()
-    checks = [SubspaceCheck(x, y, res, res <= tol) for x, y, res in zip(inputs, outputs, residuals)]
+    bits = _bit_strings(n)
+    checks = [SubspaceCheck(x, bits[y], res, res <= tol) for x, y, res in zip(bits, g.image, residuals)]
     comp_res = None
     if r == 3:
         leak = mass[code]

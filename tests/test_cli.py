@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from qlift import entanglement as ent
 from qlift.cli import main
 from qlift.io import parse_complex
 
@@ -186,6 +187,20 @@ class TestSchmidt:
         code, out, _ = run_cli(capsys, "schmidt", fx("bell_state.vec"), "--dims", "+2, 2")
         assert code == 0 and "rank: 2" in out
 
+    @pytest.mark.parametrize(
+        "amps,verdict",
+        [("1\n1\n1\n1\n", "separable"), ("1\n0\n0\n1\n", "entangled")],
+        ids=["separable", "entangled"],
+    )
+    def test_verdict_from_one_decomposition(self, capsys, monkeypatch, tmp_path, amps, verdict):
+        calls = []
+        real = ent.svd
+        monkeypatch.setattr(ent, "svd", lambda m: calls.append(m) or real(m))
+        state = tmp_path / "s.vec"
+        state.write_text(amps)
+        code, out, _ = run_cli(capsys, "schmidt", str(state), "--dims", "2,2")
+        assert code == 0 and out.endswith(f"classification: {verdict}\n") and len(calls) == 1
+
 
 class TestEnumerate:
     def test_ququart_count(self, capsys):
@@ -222,6 +237,16 @@ class TestVerify:
             assert "verdict: false" in out and "failure:" in out
         if expected == 2:
             assert err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "1_0", "inf", "1e400", "\u0661", ""])
+    def test_bad_tol_is_parse_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", fx("x.mat"), fx("not.tt"), "--tol", tol)
+        assert code == 2 and out == "" and "--tol" in err
+
+    def test_tol_reads_file_scalar_syntax(self, capsys):
+        for tol in ("1E-3", " .5", "+0", "-0"):
+            code, out, _ = run_cli(capsys, "verify", fx("x.mat"), fx("not.tt"), "--tol", tol)
+            assert code == 0 and "verdict: true" in out
 
     def test_antidiagonal_diagnostic_names_subspace(self, capsys):
         _, out, _ = run_cli(

@@ -432,6 +432,32 @@ class TestEqualUpToPhase:
         with pytest.raises(ValueError):
             la.equal_up_to_phase(X, np.eye(3), 1e-9)
 
+    def test_norms_neither_underflow_nor_overflow(self):
+        b = np.diag([1e-200, 2e-200])
+        assert la.equal_up_to_phase(np.diag([1e-200, 1e-200]), b, 1e-9) is None
+        assert la.equal_up_to_phase(1j * b, b, 1e-9) == pytest.approx(1j)
+        big = np.diag([1e200, 1e200])
+        assert la.equal_up_to_phase(big, big, 1e-9) == 1.0
+        assert la.equal_up_to_phase(np.array([[1.0]]), np.array([[1e-320]]), 1e-9) is None
+        huge = np.diag([1.5e308, 1.5e308])
+        assert la.equal_up_to_phase(huge, np.diag([1.5e308, -1.5e308]), 1e-9) is None
+
+    def test_tiny_difference_is_not_equality(self):
+        a = np.array([[1.0, 1e-170], [0.0, 1.0]])
+        assert la.equal_up_to_phase(a, np.eye(2), 0.0) is None
+        assert la.equal_up_to_phase(a, np.eye(2), 1e-160) == 1.0
+
+    @given(st.integers(1, 4), st.floats(-np.pi, np.pi), exponents, seeds)
+    @example(2, 1.0, -200, 0)
+    @example(2, -1.0, 300, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_any_scale(self, n, phi, exponent, seed):
+        b = random_complex(np.random.default_rng(seed), (n, n)) * 10.0**exponent
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = la.equal_up_to_phase(np.exp(1j * phi) * b, b, 1e-9)
+            assert got is not None and abs(got - np.exp(1j * phi)) < 1e-9
+            assert la.equal_up_to_phase(2 * b, b, 1e-9) is None
+
 
 class TestIsUnitary:
     def test_cnot(self):
@@ -453,3 +479,21 @@ class TestIsUnitary:
     def test_non_square_raises(self):
         with pytest.raises(ValueError):
             la.is_unitary(np.ones((2, 3)), 1e-9)
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200, 1.7e308])
+    def test_scaled_identity_is_not_unitary(self, scale):
+        assert not la.is_unitary(np.eye(2) * scale, 1e-9)
+
+    @given(st.integers(1, 6), exponents, seeds)
+    @example(2, 200, 0)
+    @example(3, -200, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_residual_at_any_scale(self, n, exponent, seed):
+        """||(s u)^dagger (s u) - I|| = |s^2 - 1| sqrt(n) for a unitary u."""
+        u = random_unitary(np.random.default_rng(seed), n)
+        s = 10.0**exponent
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert la.is_unitary(u * s, 1e-9) == (exponent == 0)
+            residual = la._unitarity_residual(u * s)
+        if exponent != 0:
+            assert residual == pytest.approx(abs(s * s - 1.0) * math.sqrt(n), rel=1e-9)

@@ -52,6 +52,22 @@ class TestClassicalFunction:
         both = sy.compose(NEGATION, NEGATION)
         assert both.table == sy.ClassicalFunction.identity(1).table
 
+    def test_image_is_read_only_integer_table(self):
+        assert CONDITIONAL_NOT.image.tolist() == [0, 1, 3, 2]
+        assert sy.ClassicalFunction.constant(2, "10").image.tolist() == [2, 2, 2, 2]
+        with pytest.raises(ValueError, match="read-only"):
+            CONDITIONAL_NOT.image[0] = 1
+
+    def test_from_pairs_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="at least one"):
+            sy.ClassicalFunction.from_pairs([])
+
+    def test_equal_functions_hash_equal(self):
+        again = sy.ClassicalFunction(1, 1, {"1": "0", "0": "1"})
+        assert again == NEGATION and hash(again) == hash(NEGATION)
+        assert len({NEGATION, again, sy.ClassicalFunction.identity(1)}) == 2
+        assert NEGATION != sy.ClassicalFunction(1, 2, {"0": "01", "1": "00"})
+
 
 class TestQuantizeReversible:
     def test_qubit_negation(self):
@@ -259,6 +275,26 @@ class TestIsQuantizationOf:
         report = sy.quantization_report(np.zeros((2, 2)), NEGATION, QUBIT, 1e-9)
         assert not report.ok
         assert any("not unitary" in m for m in report.failures())
+
+    def test_complement_leak_alone_fails(self):
+        """A small rotation of the fixed |22> into the even mix s of the four
+        logical states: each subspace leaks sin(t)/2 or less, the complement
+        sin(t), so only the complement check fails at tol = 0.75 sin(t)."""
+        t = 1e-3
+        s = sum(en.encode_bits(QUTRIT, b).amplitudes for b in ("00", "01", "10", "11")) / 2
+        c = np.kron(QUTRIT.fixed[:, 0], QUTRIT.fixed[:, 0])
+        u = np.eye(9) + (np.cos(t) - 1) * (np.outer(c, c) + np.outer(s, s)) + np.sin(t) * (
+            np.outer(s, c) - np.outer(c, s)
+        )
+        report = sy.quantization_report(u, sy.ClassicalFunction.identity(2), QUTRIT, 0.75 * np.sin(t))
+        assert report.unitary and all(check.ok for check in report.subspace_checks)
+        assert report.complement_residual == pytest.approx(np.sin(t))
+        assert not report.ok and report.failures()[0].startswith("fixed complement is not preserved")
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, -float("inf")])
+    def test_nan_or_negative_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            sy.quantization_report(X, NEGATION, QUBIT, tol)
 
 
 class TestEnumeration:
