@@ -7,10 +7,10 @@ non-unitary input), 2 on a parse error (malformed files or arguments).
 from __future__ import annotations
 
 import argparse
-import math
 import os
-import re
 import sys
+
+import numpy as np
 
 from . import io as qio
 from .entanglement import _separability, schmidt
@@ -38,16 +38,10 @@ def _load_table(path: str) -> ClassicalFunction:
     return qio.parse_truth_table(qio._read_file(path))
 
 
-def _print_matrix(m) -> None:
-    print(qio.format_matrix(m))
-
-
-def _index_digits(i: int, d: int, n: int) -> str:
-    digits = []
-    for _ in range(n):
-        digits.append(str(i % d))
-        i //= d
-    return "".join(reversed(digits))
+def _index_digits(d: int, n: int) -> list[str]:
+    """The n base-d digits of each index below d**n, most significant first."""
+    digits = np.unravel_index(np.arange(d**n), (d,) * n)
+    return ["".join(map(str, row)) for row in np.transpose(digits).tolist()]
 
 
 def cmd_synth(args) -> int:
@@ -57,7 +51,7 @@ def cmd_synth(args) -> int:
         gate = quantize_reversible(f, enc)
     else:
         gate = quantize_irreversible(f, enc)
-    _print_matrix(gate.matrix)
+    print(qio.format_matrix(gate.matrix))
     return 0
 
 
@@ -67,17 +61,17 @@ def cmd_sqrt(args) -> int:
         m = named_gate(args.matrix_or_name, enc)
     else:
         m = qio.parse_matrix(qio._read_file(args.matrix_or_name))
-    _print_matrix(principal_unitary_sqrt(m))
+    print(qio.format_matrix(principal_unitary_sqrt(m)))
     return 0
 
 
 def cmd_run(args) -> int:
     doc = qio.parse_circuit(qio._read_file(args.circuit), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
     state = run_circuit(doc.to_circuit(), args.input)
-    d = doc.encoding.ambient_dim
     print("amplitudes:")
+    labels = _index_digits(doc.encoding.ambient_dim, doc.width)
     for i, amp in enumerate(state.amplitudes):
-        print(f"{i} {_index_digits(i, d, doc.width)} {qio.format_complex(amp)}")
+        print(f"{i} {labels[i]} {qio.format_complex(amp)}")
     print("probabilities:")
     for i, p in basis_probabilities(state):
         print(f"{i} {p!r}")
@@ -108,14 +102,16 @@ def cmd_enumerate(args) -> int:
     print("count:", len(matrices))
     for m in matrices:
         print()
-        _print_matrix(m)
+        print(qio.format_matrix(m))
     return 0
 
 
 def cmd_verify(args) -> int:
-    token = args.tol.strip()
-    tol = float(token) if re.fullmatch(qio._FLOAT, token) else math.nan
-    if not 0 <= tol < math.inf:
+    try:
+        tol = qio._parse_float(args.tol.strip())
+    except ValueError:
+        tol = -1.0
+    if tol < 0:
         raise qio.ParseError(
             [qio.Diagnostic(1, 1, f"--tol expects a finite number >= 0, got {args.tol!r}")]
         )

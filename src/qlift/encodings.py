@@ -50,12 +50,23 @@ def _as_basis(vectors, dim: int) -> np.ndarray:
     return out
 
 
+def _is_bits(bits, length: int | None = None) -> bool:
+    """True for a nonempty string of 0s and 1s, of `length` characters when
+    given."""
+    return isinstance(bits, str) and bits != "" and set(bits) <= {"0", "1"} and length in (None, len(bits))
+
+
 def _check_bits(bits: str, length: int | None = None, what: str = "input") -> None:
-    """Reject anything but a nonempty string of 0s and 1s, of `length`
-    characters when given."""
-    if not bits or set(bits) - {"0", "1"} or length not in (None, len(bits)):
+    """Raise ValueError unless _is_bits(bits, length)."""
+    if not _is_bits(bits, length):
         kind = "nonempty bit string" if length is None else f"bit string of length {length}"
         raise ValueError(f"{what} must be a {kind}, got {bits!r}")
+
+
+def _bit_strings(n: int, indices=None) -> list[str]:
+    """The n-bit strings of `indices` (by default all 2**n in index order):
+    index i in binary, most significant bit first."""
+    return [format(i, f"0{n}b") for i in (range(2**n) if indices is None else indices)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +295,7 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     weights = mass.reshape((r,) * n)[(slice(0, 2),) * n].reshape(-1)
     best = int(np.argmax(weights))
     if weights[best] >= 1.0 - tol:
-        return StateClassification(StateKind.LOGICAL, format(best, f"0{n}b"))
+        return StateClassification(StateKind.LOGICAL, _bit_strings(n, [best])[0])
     if weights.sum() < 1.0 - tol:
         return StateClassification(StateKind.OUTSIDE_CODE)
     return StateClassification(StateKind.SUPERPOSITION)

@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import BUILTIN_ENCODINGS, Encoding, builtin_encoding
+from .encodings import BUILTIN_ENCODINGS, Encoding, _bit_strings, _check_bits, builtin_encoding
 from .linalg import as_array
 from .simulator import Circuit, CircuitStep, _check_step
-from .synthesis import NAMED_GATES, ClassicalFunction, controlled, named_gate
+from .synthesis import NAMED_GATES, ClassicalFunction, _missing_inputs, controlled, named_gate
 
 __all__ = [
     "Diagnostic",
@@ -78,6 +78,7 @@ _DIGITS = "[0-9]+"
 _INT_RE = re.compile(rf"[+-]?{_DIGITS}")
 _UNSIGNED = rf"(?:{_DIGITS}(?:\.[0-9]*)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?"
 _FLOAT = rf"[+-]?{_UNSIGNED}"
+_FLOAT_RE = re.compile(_FLOAT)
 # A bare real, or an optional real part followed by a signed (or, without a
 # real part, optionally signed) imaginary coefficient that may be omitted.
 _COMPLEX_RE = re.compile(
@@ -110,19 +111,29 @@ def parse_complex(token: str) -> complex:
     return complex(float(m["re"] or 0.0), im_val)
 
 
-def _parse_int(token: str) -> int:
-    """Parse an integer entry, [+-]?[0-9]+; anything else is a ValueError."""
+def _parse_int(token: str, what: str = "value") -> int:
+    """Parse an integer, [+-]?[0-9]+; anything else is a ValueError."""
     if _INT_RE.fullmatch(token) is None:
-        raise ValueError(f"bad integer {token!r}")
+        raise ValueError(f"{what} must be an integer, got {token!r}")
     return int(token)
 
 
-def _content_lines(text: str):
-    """Yield (line_number, content) with comments stripped and blanks skipped."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        if content.strip():
-            yield ln, content
+def _parse_float(token: str) -> float:
+    """Parse a finite real in the scalar syntax; anything else, including a
+    value beyond the double range, is a ValueError."""
+    if _FLOAT_RE.fullmatch(token) is None or not np.isfinite(float(token)):
+        raise ValueError(f"bad real {token!r}")
+    return float(token)
+
+
+def _lines(text: str, empty_message: str) -> list[tuple[int, str]]:
+    """(line_number, content) of each line that is not blank once its
+    comment is stripped; a ParseError at (1, 1) when there is none."""
+    lines = [(ln, raw.split("#", 1)[0]) for ln, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(ln, content) for ln, content in lines if content.strip()]
+    if not lines:
+        raise ParseError([Diagnostic(1, 1, empty_message)])
+    return lines
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -133,97 +144,103 @@ def _tokens(content: str):
     return [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(content)]
 
 
+def _header(line: tuple[int, str], message: str, *keywords: str, least: int) -> list[int]:
+    """The integers of a header line `keyword <int> [keyword <int> ...]`,
+    each at least `least`; otherwise a ParseError with `message` at the
+    line's first token."""
+    ln, content = line
+    toks = _tokens(content)
+    words = [tok for _, tok in toks]
+    if len(words) == 2 * len(keywords) and tuple(words[::2]) == keywords:
+        try:
+            values = [_parse_int(word) for word in words[1::2]]
+            if min(values) >= least:
+                return values
+        except ValueError:
+            pass
+    raise ParseError([Diagnostic(ln, toks[0][0], message)])
+
+
+def _entries(ln: int, tokens, parse, diagnostics: list[Diagnostic]) -> list | None:
+    """`parse` applied to each (column, token) of line `ln`.  Each token it
+    rejects with a ValueError adds a diagnostic at its column, and the result
+    is None."""
+    values = []
+    for col, tok in tokens:
+        try:
+            values.append(parse(tok))
+        except ValueError as exc:
+            diagnostics.append(Diagnostic(ln, col, str(exc)))
+    return values if len(values) == len(tokens) else None
+
+
 def format_matrix(m) -> str:
     a = as_array(m, 2)
     return "\n".join(" ".join(format_complex(z) for z in row) for row in a)
 
 
-def _parse_rows(text: str) -> tuple[list[list[complex]], list[Diagnostic]]:
+def _parse_rows(text: str) -> list[list[complex]]:
+    """The rows of the matrix syntax, all of the first row's length."""
     rows: list[list[complex]] = []
     diagnostics: list[Diagnostic] = []
-    for ln, content in _content_lines(text):
-        row = []
-        for col, tok in _tokens(content):
-            try:
-                row.append(parse_complex(tok))
-            except ValueError as exc:
-                diagnostics.append(Diagnostic(ln, col, str(exc)))
-        rows.append(row)
-        if rows and len(row) != len(rows[0]) and not diagnostics:
+    for ln, content in _lines(text, "no matrix data found"):
+        row = _entries(ln, _tokens(content), parse_complex, diagnostics)
+        if not diagnostics and rows and len(row) != len(rows[0]):
             diagnostics.append(
                 Diagnostic(ln, 1, f"row has {len(row)} entries, expected {len(rows[0])}")
             )
-    if not rows and not diagnostics:
-        diagnostics.append(Diagnostic(1, 1, "no matrix data found"))
-    return rows, diagnostics
+        rows.append(row)
+    if diagnostics:
+        raise ParseError(diagnostics)
+    return rows
 
 
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the matrix text format; raises ParseError on any malformed row."""
-    rows, diagnostics = _parse_rows(text)
-    if diagnostics:
-        raise ParseError(diagnostics)
-    return as_array(np.array(rows, dtype=np.complex128), 2)
+    return as_array(np.array(_parse_rows(text), dtype=np.complex128), 2)
 
 
 def parse_state(text: str) -> np.ndarray:
     """Parse an amplitude vector (matrix syntax, flattened row-major)."""
-    rows, diagnostics = _parse_rows(text)
-    if diagnostics:
-        raise ParseError(diagnostics)
-    return as_array(np.array([z for row in rows for z in row], dtype=np.complex128), 1)
-
-
-_BITS_RE = re.compile(r"^[01]+$")
+    return as_array(np.array([z for row in _parse_rows(text) for z in row], dtype=np.complex128), 1)
 
 
 def parse_truth_table(text: str) -> ClassicalFunction:
     """Parse the truth-table format into a ClassicalFunction."""
+    lines = _lines(text, "empty truth table")
+    m, n = _header(lines[0], "expected header 'in <m> out <n>'", "in", "out", least=1)
     diagnostics: list[Diagnostic] = []
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError([Diagnostic(1, 1, "empty truth table")])
-    header_ln, header = lines[0]
-    toks = _tokens(header)
-    words = [t for _, t in toks]
-    m = n = None
-    if len(words) == 4 and words[0] == "in" and words[2] == "out":
-        try:
-            m, n = _parse_int(words[1]), _parse_int(words[3])
-        except ValueError:
-            pass
-    if m is None or n is None or m < 1 or n < 1:
-        raise ParseError(
-            [Diagnostic(header_ln, toks[0][0] if toks else 1, "expected header 'in <m> out <n>'")]
-        )
-
-    table: dict[str, str] = {}
     first_seen: dict[str, int] = {}
+    table: dict[str, str] = {}
     for ln, content in lines[1:]:
-        parts = content.split("->")
-        toks = _tokens(content)
-        if len(parts) != 2:
-            diagnostics.append(Diagnostic(ln, toks[0][0], "expected '<input> -> <output>'"))
+        ins, arrow, outs = content.partition("->")
+        in_col = len(content) - len(content.lstrip()) + 1
+        out_col = len(content) - len(outs.lstrip()) + 1
+        ins, outs = ins.strip(), outs.strip()
+        try:
+            if not arrow or "->" in outs:
+                raise ValueError("expected '<input> -> <output>'")
+            _check_bits(ins, m, "input")
+        except ValueError as exc:
+            diagnostics.append(Diagnostic(ln, in_col, str(exc)))
             continue
-        ins, outs = parts[0].strip(), parts[1].strip()
-        if not _BITS_RE.match(ins) or len(ins) != m:
-            diagnostics.append(Diagnostic(ln, toks[0][0], f"input must be {m} bits, got {ins!r}"))
-            continue
-        out_col = content.index("->") + 3
-        if not _BITS_RE.match(outs) or len(outs) != n:
-            diagnostics.append(Diagnostic(ln, out_col, f"output must be {n} bits, got {outs!r}"))
+        try:
+            _check_bits(outs, n, "output")
+        except ValueError as exc:
+            diagnostics.append(Diagnostic(ln, out_col, str(exc)))
             continue
         if ins in table:
             diagnostics.append(
-                Diagnostic(ln, toks[0][0], f"duplicate entry for input {ins} (first at line {first_seen[ins]})")
+                Diagnostic(ln, in_col, f"duplicate entry for input {ins} (first at line {first_seen[ins]})")
             )
             continue
         table[ins] = outs
         first_seen[ins] = ln
-    for i in range(2**m):
-        bits = format(i, f"0{m}b")
-        if bits not in table:
-            diagnostics.append(Diagnostic(lines[-1][0], 1, f"missing entry for input {bits}"))
+    if len(table) < 2**m:
+        missing, more = _missing_inputs(m, table)
+        last = lines[-1][0]
+        diagnostics += [Diagnostic(last, 1, f"missing entry for input {bits}") for bits in missing]
+        diagnostics += [Diagnostic(last, 1, f"and {more} more missing entries")] if more else []
     if diagnostics:
         raise ParseError(diagnostics)
     return ClassicalFunction(m, n, table)
@@ -231,52 +248,29 @@ def parse_truth_table(text: str) -> ClassicalFunction:
 
 def format_truth_table(f: ClassicalFunction) -> str:
     lines = [f"in {f.arity_in} out {f.arity_out}"]
-    for i in range(2**f.arity_in):
-        bits = format(i, f"0{f.arity_in}b")
-        lines.append(f"{bits} -> {f(bits)}")
+    lines += [f"{bits} -> {f.table[bits]}" for bits in _bit_strings(f.arity_in)]
     return "\n".join(lines)
 
 
 def parse_encoding_file(text: str, name: str = "custom") -> Encoding:
     """Parse the encoding description format into an Encoding."""
+    lines = _lines(text, "empty encoding file")
+    (dim,) = _header(lines[0], "expected header 'dim <d>' with d >= 2", "dim", least=2)
     diagnostics: list[Diagnostic] = []
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError([Diagnostic(1, 1, "empty encoding file")])
-    header_ln, header = lines[0]
-    words = header.split()
-    dim = None
-    if len(words) == 2 and words[0] == "dim":
-        try:
-            dim = _parse_int(words[1])
-        except ValueError:
-            pass
-    if dim is None or dim < 2:
-        raise ParseError([Diagnostic(header_ln, 1, "expected header 'dim <d>' with d >= 2")])
-
-    sections: dict[str, list[np.ndarray]] = {"0:": [], "1:": [], "fixed:": []}
+    sections: dict[str, list[list[complex]]] = {"0:": [], "1:": [], "fixed:": []}
     current: str | None = None
     for ln, content in lines[1:]:
-        stripped = content.strip()
-        if stripped in sections:
-            current = stripped
+        if content.strip() in sections:
+            current = content.strip()
             continue
         if current is None:
             diagnostics.append(Diagnostic(ln, 1, "expected a section marker '0:', '1:' or 'fixed:'"))
             continue
-        vec = []
-        ok = True
-        for col, tok in _tokens(content):
-            try:
-                vec.append(parse_complex(tok))
-            except ValueError as exc:
-                diagnostics.append(Diagnostic(ln, col, str(exc)))
-                ok = False
-        if ok and len(vec) != dim:
+        vec = _entries(ln, _tokens(content), parse_complex, diagnostics)
+        if vec is not None and len(vec) != dim:
             diagnostics.append(Diagnostic(ln, 1, f"basis vector has {len(vec)} entries, expected {dim}"))
-            ok = False
-        if ok:
-            sections[current].append(np.array(vec, dtype=np.complex128))
+        elif vec is not None:
+            sections[current].append(vec)
     if not sections["0:"] or not sections["1:"]:
         diagnostics.append(Diagnostic(lines[-1][0], 1, "sections '0:' and '1:' must each list at least one vector"))
     if diagnostics:
@@ -284,7 +278,7 @@ def parse_encoding_file(text: str, name: str = "custom") -> Encoding:
     try:
         return Encoding(name, dim, sections["0:"], sections["1:"], sections["fixed:"] or None)
     except ValueError as exc:
-        raise ParseError([Diagnostic(header_ln, 1, str(exc))]) from exc
+        raise ParseError([Diagnostic(lines[0][0], 1, str(exc))]) from exc
 
 
 @dataclass(frozen=True)
@@ -343,9 +337,7 @@ def _resolve_gate(
         head, arg = call.group(1), call.group(2)
         if head == "R":
             try:
-                if not re.fullmatch(_FLOAT, arg):
-                    raise ValueError(arg)
-                return named_gate("R", enc, float(arg))
+                return named_gate("R", enc, _parse_float(arg))
             except ValueError:
                 raise ValueError(f"R expects a real angle in radians, got {arg!r}") from None
         if head == "C":
@@ -369,13 +361,8 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
     arity/dimension mismatches and out-of-range targets are all reported as
     diagnostics with positions.
     """
-    diagnostics: list[Diagnostic] = []
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError([Diagnostic(1, 1, "empty circuit: expected 'encoding <name|file>' header")])
-
-    idx = 0
-    ln, content = lines[idx]
+    lines = _lines(text, "empty circuit: expected 'encoding <name|file>' header")
+    ln, content = lines[0]
     toks = _tokens(content)
     if toks[0][1] != "encoding" or len(toks) != 2:
         raise ParseError([Diagnostic(ln, toks[0][0], "expected 'encoding <name|file>' header")])
@@ -389,34 +376,19 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
             [Diagnostic(ln, toks[1][0], f"invalid encoding file {encoding_ref!r}: {exc}")]
         ) from exc
 
-    idx += 1
-    if idx >= len(lines):
+    if len(lines) == 1:
         raise ParseError([Diagnostic(ln, 1, "expected 'width <n>' after the encoding header")])
-    ln, content = lines[idx]
-    toks = _tokens(content)
-    width = None
-    if toks[0][1] == "width" and len(toks) == 2:
-        try:
-            width = _parse_int(toks[1][1])
-        except ValueError:
-            pass
-    if width is None or width < 1:
-        raise ParseError([Diagnostic(ln, toks[0][0], "expected 'width <n>' with n >= 1")])
+    (width,) = _header(lines[1], "expected 'width <n>' with n >= 1", "width", least=1)
 
+    diagnostics: list[Diagnostic] = []
     statements: list[Statement] = []
-    for ln, content in lines[idx + 1 :]:
-        toks = _tokens(content)
-        gate_col, gate_tok = toks[0]
-        if len(toks) == 1:
+    for ln, content in lines[2:]:
+        (gate_col, gate_tok), *target_toks = _tokens(content)
+        if not target_toks:
             diagnostics.append(Diagnostic(ln, gate_col, "statement needs at least one target"))
             continue
-        targets = []
-        for col, t in toks[1:]:
-            try:
-                targets.append(_parse_int(t))
-            except ValueError:
-                diagnostics.append(Diagnostic(ln, col, f"target must be an integer, got {t!r}"))
-        if len(targets) < len(toks) - 1:
+        targets = _entries(ln, target_toks, lambda tok: _parse_int(tok, "target"), diagnostics)
+        if targets is None:
             continue
         try:
             matrix = _resolve_gate(gate_tok, enc, base_dir)

@@ -14,12 +14,14 @@ enumerate every 0/1 permutation matrix that does.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import Encoding, _check_bits
-from .linalg import _unitarity_residual, as_array, is_unitary, kron_apply, principal_unitary_sqrt
+from .encodings import Encoding, _bit_strings, _check_bits, _is_bits
+from .linalg import _GRAM_EXP, _ldexp, _prescale, _unitarity_residual, as_array
+from .linalg import is_unitary, kron_apply, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -46,12 +48,18 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 _CHECK_TOL = 1e-9
 _ENUMERATION_DIM_CAP = 8
+_MISSING_LISTED = 16
 
 
-def _bit_strings(n: int) -> list[str]:
-    """The n-bit strings in index order: entry i is i in binary, most
-    significant bit first."""
-    return [format(i, f"0{n}b") for i in range(2**n)]
+def _missing_inputs(arity: int, inputs) -> tuple[list[str], int]:
+    """The first _MISSING_LISTED arity-bit strings, in index order, that are
+    not among `inputs` (distinct arity-bit strings), and how many more are
+    missing.  The walk visits at most len(inputs) + _MISSING_LISTED indices,
+    so its cost grows with the inputs given, not with 2**arity."""
+    taken = {int(x, 2) for x in inputs}
+    absent = (i for i in range(2**arity) if i not in taken)
+    listed = _bit_strings(arity, itertools.islice(absent, _MISSING_LISTED))
+    return listed, 2**arity - len(taken) - len(listed)
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,14 @@ class ClassicalFunction:
     image: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.arity_in < 1 or self.arity_out < 1:
+        m = self.arity_in
+        if m < 1 or self.arity_out < 1:
             raise ValueError("arities must be positive")
-        inputs = _bit_strings(self.arity_in)
-        missing = sorted(set(inputs) - set(self.table))
-        extra = sorted(set(self.table) - set(inputs))
-        if missing or extra:
-            parts = [f"missing inputs {missing}"] if missing else []
+        inputs = _bit_strings(m) if len(self.table) == 2**m else []
+        if self.table.keys() != set(inputs):
+            extra = sorted(k for k in self.table if not _is_bits(k, m))
+            missing, more = _missing_inputs(m, self.table.keys() - set(extra))
+            parts = [f"missing inputs {missing}" + (f" and {more} more" if more else "")] if missing else []
             parts += [f"unexpected inputs {extra}"] if extra else []
             raise ValueError("truth table is not total: " + ", ".join(parts))
         for k, v in self.table.items():
@@ -281,8 +290,15 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     unit_res = _unitarity_residual(um)
     # Squared entries of frame^dagger u frame summed per (row class, column
     # class) tuple: mass[i, j] is how much of class tuple j lands in tuple i.
+    # A u whose largest entry lies beyond 2**(+-_GRAM_EXP), and so has a
+    # unitarity residual above 1, is prescaled so that no square leaves the
+    # double range, and the residuals are scaled back.  Only such a u is
+    # copied (a copy adds a matrix to peak memory), and only a u with that
+    # residual pays for the search of its largest entry.
     frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
-    coeffs = kron_apply(frames, um.reshape(-1))
+    top = math.frexp(float(np.abs(um).max()))[1] if unit_res > 1.0 else 0
+    scaled, e = _prescale(um) if abs(top) > _GRAM_EXP else (um, 0)
+    coeffs = kron_apply(frames, scaled.reshape(-1))
     r = enc.frame_classes.shape[0]
     mass = kron_apply([enc.frame_classes] * (2 * n), np.abs(coeffs) ** 2).reshape(r**n, r**n)
     # Class-tuple index of each bit string.  A leak is the mass that lands
@@ -292,13 +308,15 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     leak = mass[:, code]
     leak[code[g.image], np.arange(2**n)] = 0.0
     residuals = np.sqrt(leak.sum(axis=0)).tolist()
+    if e:
+        residuals = [_ldexp(res, e) for res in residuals]
     bits = _bit_strings(n)
     checks = [SubspaceCheck(x, bits[y], res, res <= tol) for x, y, res in zip(bits, g.image, residuals)]
     comp_res = None
     if r == 3:
         leak = mass[code]
         leak[:, code] = 0.0
-        comp_res = float(np.sqrt(leak.sum()))
+        comp_res = _ldexp(float(np.sqrt(leak.sum())), e)
     return QuantizationReport(unit_res <= tol, unit_res, tuple(checks), comp_res, tol)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qlift import entanglement as ent
-from qlift.cli import main
+from qlift.cli import _index_digits, main
 from qlift.io import parse_complex
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -90,6 +90,20 @@ class TestSqrt:
 
 
 class TestRun:
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (4, 3), (10, 2), (12, 2), (16, 1)])
+    def test_index_digits_match_the_digit_loop(self, d, n):
+        """Each label is the n base-d digits of its index, most significant
+        first, each digit written in decimal (so d >= 10 gives wider digits)."""
+
+        def digits(i):
+            out = []
+            for _ in range(n):
+                out.append(str(i % d))
+                i //= d
+            return "".join(reversed(out))
+
+        assert _index_digits(d, n) == [digits(i) for i in range(d**n)]
+
     def test_bell_circuit(self, capsys):
         code, out, _ = run_cli(capsys, "run", fx("bell.circ"), "--input", "00")
         assert code == 0

@@ -127,6 +127,11 @@ class TestEncodeBits:
         with pytest.raises(ValueError):
             en.encode_bits(en.builtin_encoding("qubit"), "02")
 
+    @pytest.mark.parametrize("bits", ["", ["0", "1"], 1])
+    def test_rejects_empty_and_non_strings(self, bits):
+        with pytest.raises(ValueError, match="input must be a nonempty bit string"):
+            en.encode_bits(en.builtin_encoding("qubit"), bits)
+
 
 class TestLogicalSubspace:
     def test_ququart_zero(self):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlift import encodings as en
 from qlift import linalg as la
@@ -295,6 +297,32 @@ class TestIsQuantizationOf:
     def test_nan_or_negative_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
             sy.quantization_report(X, NEGATION, QUBIT, tol)
+
+    def test_huge_permutation_is_not_a_quantization(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = sy.quantization_report(X * 1e160, NEGATION, QUBIT, 1e-9)
+        assert [c.residual for c in report.subspace_checks] == [0.0, 0.0]
+        assert not report.unitary and report.failures() == [
+            f"matrix is not unitary (residual {report.unitarity_residual:.3e})"
+        ]
+
+    @given(st.sampled_from(["qubit", "qutrit", "pauli"]), st.integers(-300, 300), st.integers(0, 2**32 - 1))
+    @example("qutrit", 160, 0)
+    @example("pauli", -300, 0)
+    @example("qutrit", 300, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_residuals_scale_with_the_input(self, name, exponent, seed):
+        """The leak residuals of s*u are s times those of u, at any scale s."""
+        enc = en.builtin_encoding(name)
+        u = random_unitary(np.random.default_rng(seed), enc.ambient_dim)
+        s = 10.0**exponent
+        ref = sy.quantization_report(u, NEGATION, enc, 1e-9)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sy.quantization_report(u * s, NEGATION, enc, 1e-9)
+        for check, expected in zip(got.subspace_checks, ref.subspace_checks):
+            assert check.residual == pytest.approx(expected.residual * s, rel=1e-9, abs=0)
+        if ref.complement_residual is not None:
+            assert got.complement_residual == pytest.approx(ref.complement_residual * s, rel=1e-9, abs=0)
 
 
 class TestEnumeration:
