@@ -7,10 +7,9 @@ non-unitary input), 2 on a parse error (malformed files or arguments).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
-
-import numpy as np
 
 from . import io as qio
 from .entanglement import _separability, schmidt
@@ -18,7 +17,6 @@ from .linalg import ConvergenceError, principal_unitary_sqrt
 from .simulator import basis_probabilities, run_circuit
 from .synthesis import (
     NAMED_GATES,
-    ClassicalFunction,
     enumerate_permutation_quantizations,
     named_gate,
     quantization_report,
@@ -34,18 +32,14 @@ _GATE_HELP = (
 )
 
 
-def _load_table(path: str) -> ClassicalFunction:
-    return qio.parse_truth_table(qio._read_file(path))
-
-
-def _index_digits(d: int, n: int) -> list[str]:
-    """The n base-d digits of each index below d**n, most significant first."""
-    digits = np.unravel_index(np.arange(d**n), (d,) * n)
-    return ["".join(map(str, row)) for row in np.transpose(digits).tolist()]
+def _index_digits(d: int, n: int):
+    """The n base-d digits of each index below d**n, most significant first,
+    in index order.  Lazy: one label at a time, whatever d**n is."""
+    return map("".join, itertools.product([str(k) for k in range(d)], repeat=n))
 
 
 def cmd_synth(args) -> int:
-    f = _load_table(args.table)
+    f = qio.parse_truth_table(qio._read_file(args.table))
     enc = qio._resolve_encoding(args.encoding)
     if f.is_reversible:
         gate = quantize_reversible(f, enc)
@@ -70,8 +64,8 @@ def cmd_run(args) -> int:
     state = run_circuit(doc.to_circuit(), args.input)
     print("amplitudes:")
     labels = _index_digits(doc.encoding.ambient_dim, doc.width)
-    for i, amp in enumerate(state.amplitudes):
-        print(f"{i} {labels[i]} {qio.format_complex(amp)}")
+    for i, (label, amp) in enumerate(zip(labels, state.amplitudes)):
+        print(f"{i} {label} {qio.format_complex(amp)}")
     print("probabilities:")
     for i, p in basis_probabilities(state):
         print(f"{i} {p!r}")
@@ -96,7 +90,7 @@ def cmd_schmidt(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    f = _load_table(args.table)
+    f = qio.parse_truth_table(qio._read_file(args.table))
     enc = qio._resolve_encoding(args.encoding)
     matrices = enumerate_permutation_quantizations(f, enc)
     print("count:", len(matrices))
@@ -116,7 +110,7 @@ def cmd_verify(args) -> int:
             [qio.Diagnostic(1, 1, f"--tol expects a finite number >= 0, got {args.tol!r}")]
         )
     m = qio.parse_matrix(qio._read_file(args.matrix))
-    f = _load_table(args.table)
+    f = qio.parse_truth_table(qio._read_file(args.table))
     enc = qio._resolve_encoding(args.encoding)
     report = quantization_report(m, f, enc, tol)
     print("verdict:", "true" if report.ok else "false")

@@ -34,7 +34,7 @@ import numpy as np
 from .encodings import BUILTIN_ENCODINGS, Encoding, _bit_strings, _check_bits, builtin_encoding
 from .linalg import as_array
 from .simulator import Circuit, CircuitStep, _check_step
-from .synthesis import NAMED_GATES, ClassicalFunction, _missing_inputs, controlled, named_gate
+from .synthesis import NAMED_GATES, ClassicalFunction, _check_arities, _missing_inputs, controlled, named_gate
 
 __all__ = [
     "Diagnostic",
@@ -209,6 +209,10 @@ def parse_truth_table(text: str) -> ClassicalFunction:
     """Parse the truth-table format into a ClassicalFunction."""
     lines = _lines(text, "empty truth table")
     m, n = _header(lines[0], "expected header 'in <m> out <n>'", "in", "out", least=1)
+    try:
+        _check_arities(m, n)
+    except ValueError as exc:
+        raise ParseError([Diagnostic(lines[0][0], _tokens(lines[0][1])[0][0], str(exc))]) from None
     diagnostics: list[Diagnostic] = []
     first_seen: dict[str, int] = {}
     table: dict[str, str] = {}

@@ -97,13 +97,16 @@ def as_array(a, ndim: int) -> np.ndarray:
     return out
 
 
-def _prescale(x: np.ndarray) -> tuple[np.ndarray, int]:
+def _prescale(x: np.ndarray, extreme_only: bool = False) -> tuple[np.ndarray, int]:
     """(x * 2**-e, e) for a float64 or complex128 array, with e chosen so
     that the largest real or imaginary part of the result lies in [0.5, 1);
     (x, 0) for the zero array.  Scaling by a power of two is exact, and no
-    square or product of scaled entries overflows."""
+    square or product of scaled entries overflows.  With extreme_only, an x
+    with |e| <= _GRAM_EXP, whose squares need no scaling, is returned as is."""
     f = np.ascontiguousarray(x).view(np.float64)
     _, e = math.frexp(float(np.max(np.abs(f), initial=0.0)))
+    if extreme_only and abs(e) <= _GRAM_EXP:
+        return x, 0
     return np.ldexp(f, -e).view(x.dtype), e
 
 

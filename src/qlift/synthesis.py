@@ -14,13 +14,12 @@ enumerate every 0/1 permutation matrix that does.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits
-from .linalg import _GRAM_EXP, _ldexp, _prescale, _unitarity_residual, as_array
+from .linalg import _ldexp, _prescale, _unitarity_residual, as_array
 from .linalg import is_unitary, kron_apply, principal_unitary_sqrt
 
 __all__ = [
@@ -49,13 +48,22 @@ _UNITARY_TOL = 1e-10
 _CHECK_TOL = 1e-9
 _ENUMERATION_DIM_CAP = 8
 _MISSING_LISTED = 16
+_MAX_ARITY = 62
+
+
+def _check_arities(arity_in: int, arity_out: int) -> None:
+    """ValueError unless both arities lie in 1.._MAX_ARITY, where 2**arity
+    fits the int64 (np.intp) that holds the image's indices and outputs."""
+    if not (1 <= arity_in <= _MAX_ARITY and 1 <= arity_out <= _MAX_ARITY):
+        raise ValueError(f"arities must lie between 1 and {_MAX_ARITY}, got {arity_in} and {arity_out}")
 
 
 def _missing_inputs(arity: int, inputs) -> tuple[list[str], int]:
     """The first _MISSING_LISTED arity-bit strings, in index order, that are
     not among `inputs` (distinct arity-bit strings), and how many more are
-    missing.  The walk visits at most len(inputs) + _MISSING_LISTED indices,
-    so its cost grows with the inputs given, not with 2**arity."""
+    missing.  The walk visits at most len(inputs) + _MISSING_LISTED indices
+    of at most _MAX_ARITY bits, so its cost grows with the inputs given, not
+    with 2**arity."""
     taken = {int(x, 2) for x in inputs}
     absent = (i for i in range(2**arity) if i not in taken)
     listed = _bit_strings(arity, itertools.islice(absent, _MISSING_LISTED))
@@ -74,10 +82,9 @@ class ClassicalFunction:
 
     def __post_init__(self):
         m = self.arity_in
-        if m < 1 or self.arity_out < 1:
-            raise ValueError("arities must be positive")
+        _check_arities(m, self.arity_out)
         inputs = _bit_strings(m) if len(self.table) == 2**m else []
-        if self.table.keys() != set(inputs):
+        if len(self.table) != 2**m or self.table.keys() != set(inputs):
             extra = sorted(k for k in self.table if not _is_bits(k, m))
             missing, more = _missing_inputs(m, self.table.keys() - set(extra))
             parts = [f"missing inputs {missing}" + (f" and {more} more" if more else "")] if missing else []
@@ -290,14 +297,11 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     unit_res = _unitarity_residual(um)
     # Squared entries of frame^dagger u frame summed per (row class, column
     # class) tuple: mass[i, j] is how much of class tuple j lands in tuple i.
-    # A u whose largest entry lies beyond 2**(+-_GRAM_EXP), and so has a
-    # unitarity residual above 1, is prescaled so that no square leaves the
-    # double range, and the residuals are scaled back.  Only such a u is
-    # copied (a copy adds a matrix to peak memory), and only a u with that
-    # residual pays for the search of its largest entry.
+    # A u with entries far from unit scale has a unitarity residual above 1.
+    # Only such a u pays for the search of its largest entry, and only an
+    # extreme one is copied (a copy adds a matrix to peak memory) and scaled.
     frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
-    top = math.frexp(float(np.abs(um).max()))[1] if unit_res > 1.0 else 0
-    scaled, e = _prescale(um) if abs(top) > _GRAM_EXP else (um, 0)
+    scaled, e = _prescale(um, extreme_only=True) if unit_res > 1.0 else (um, 0)
     coeffs = kron_apply(frames, scaled.reshape(-1))
     r = enc.frame_classes.shape[0]
     mass = kron_apply([enc.frame_classes] * (2 * n), np.abs(coeffs) ** 2).reshape(r**n, r**n)

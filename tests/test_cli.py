@@ -102,7 +102,12 @@ class TestRun:
                 i //= d
             return "".join(reversed(out))
 
-        assert _index_digits(d, n) == [digits(i) for i in range(d**n)]
+        assert list(_index_digits(d, n)) == [digits(i) for i in range(d**n)]
+
+    def test_index_digits_are_lazy(self):
+        """Labels come one at a time, so 2**64 of them cost nothing up front."""
+        labels = _index_digits(2, 64)
+        assert next(labels) == "0" * 64 and next(labels) == "0" * 63 + "1"
 
     def test_bell_circuit(self, capsys):
         code, out, _ = run_cli(capsys, "run", fx("bell.circ"), "--input", "00")

@@ -58,6 +58,8 @@ CASES = [
     ("table", "in 1 out 1\n0 -> 1\n  0->0\n1 -> 0\n", 3, 3,
      "duplicate entry for input 0 (first at line 2)"),
     ("table", "in 1 out 1\n0 -> 1\n", 2, 1, "missing entry for input 1"),
+    ("table", "  in 63 out 1\n0 -> 1\n", 1, 3, "arities must lie between 1 and 62, got 63 and 1"),
+    ("table", "in 1 out 20000\n0 -> 1\n", 1, 1, "arities must lie between 1 and 62, got 1 and 20000"),
     # encoding files
     ("encoding", "\n", 1, 1, "empty encoding file"),
     ("encoding", "dim 1\n0:\n1\n1:\n1\n", 1, 1, "expected header 'dim <d>' with d >= 2"),
@@ -160,7 +162,7 @@ class TestMissingEntries:
         assert [d.message for d in diags] == expected
         assert all((d.line, d.column) == (3, 1) for d in diags)
 
-    @pytest.mark.parametrize("m", [20, 40, 1000])
+    @pytest.mark.parametrize("m", [20, 40, 62])
     def test_wide_header_one_entry(self, m):
         with pytest.raises(qio.ParseError) as err:
             qio.parse_truth_table(f"in {m} out 1\n{'1' * m} -> 1\n")
@@ -188,6 +190,16 @@ class TestMissingEntries:
         assert message.startswith("truth table is not total: missing inputs ['00000000000000000001', ")
         assert f"and {2**20 - 17} more" in message
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_classical_function_empty_table_is_not_total(self, m):
+        with pytest.raises(ValueError, match="not total"):
+            ClassicalFunction(m, 1, {})
+
+    @pytest.mark.parametrize("m,n", [(63, 1), (1, 64), (10**12, 1), (0, 1)])
+    def test_classical_function_arity_bound(self, m, n):
+        with pytest.raises(ValueError, match="arities must lie between 1 and 62"):
+            ClassicalFunction(m, n, {"0": "1" * n, "1": "0" * n} if m == 1 else {})
+
     def test_classical_function_small_message_unchanged(self):
         with pytest.raises(ValueError) as err:
             ClassicalFunction(2, 1, {"00": "1", "11": "0", "2": "1", "011": "0"})
@@ -200,6 +212,14 @@ class TestMissingEntries:
         assert main(["synth", str(tmp_path / "wide.tt")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 17
+
+    @pytest.mark.parametrize("m", [20000, 10**12])
+    def test_cli_exits_2_on_huge_header(self, capsys, tmp_path, m):
+        (tmp_path / "huge.tt").write_text(f"in {m} out 1\n0 -> 1\n")
+        assert main(["synth", str(tmp_path / "huge.tt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"line 1, column 1: arities must lie between 1 and 62, got {m} and 1\n"
 
 
 @pytest.mark.parametrize(
