@@ -11,11 +11,12 @@ is the most significant Kronecker factor, so "01" encodes to |0> kron |1>.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _norm, _unit, as_array, kron, kron_apply
+from .linalg import _check_tol, _count, _norm, _unit, _unitarity_residual, as_array, kron, kron_apply
 
 __all__ = [
     "Encoding",
@@ -69,6 +70,18 @@ def _bit_strings(n: int, indices=None) -> list[str]:
     return [format(i, f"0{n}b") for i in (range(2**n) if indices is None else indices)]
 
 
+@functools.lru_cache(maxsize=64)
+def _label_blocks(d: int, k: int, n: int) -> np.ndarray:
+    """Frame labels of the logical subspaces, read-only, shape (2**n, k**n).
+    Labels number the columns of frame^(kron n).  Row x (bit strings in index
+    order) holds the labels spanning x's logical subspace, in
+    logical_subspace's column order; a label in no row has a fixed factor."""
+    corner = np.arange(d**n).reshape((d,) * n)[(slice(0, 2 * k),) * n].reshape((2, k) * n)
+    blocks = corner.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(2**n, k**n)
+    blocks.setflags(write=False)
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)
 class Encoding:
     """Assignment of bit values 0 and 1 to orthonormal subspace bases.
@@ -79,9 +92,7 @@ class Encoding:
     logical subspaces must have equal dimension (otherwise no unitary NOT
     can exist).
 
-    frame is that unitary [basis0 | basis1 | fixed]; row c of the 0/1 matrix
-    frame_classes marks the frame columns of class c (bit 0, bit 1, and
-    fixed when there are fixed directions).
+    frame is that unitary [basis0 | basis1 | fixed].
     """
 
     name: str
@@ -90,7 +101,6 @@ class Encoding:
     basis1: np.ndarray
     fixed: np.ndarray = field(default=None)  # type: ignore[assignment]
     frame: np.ndarray = field(init=False, repr=False)
-    frame_classes: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, Encoding):
@@ -127,15 +137,10 @@ class Encoding:
                 f"subspace dimensions {self.basis0.shape[1]}+{self.basis1.shape[1]}"
                 f"+{self.fixed.shape[1]} do not add up to the ambient dimension {d}"
             )
-        if np.linalg.norm(frame.conj().T @ frame - np.eye(d)) > _ORTHO_TOL:
+        if not _unitarity_residual(frame) <= _ORTHO_TOL:
             raise ValueError("encoding basis vectors are not orthonormal")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
-        k, nfixed = self.bit_dim, self.fixed.shape[1]
-        labels = np.repeat([0, 1, 2], [k, k, nfixed])
-        classes = (labels == np.arange(3 if nfixed else 2)[:, None]).astype(float)
-        classes.setflags(write=False)
-        object.__setattr__(self, "frame_classes", classes)
 
     @property
     def bit_dim(self) -> int:
@@ -165,6 +170,7 @@ class QuantumState:
         amps = as_array(self.amplitudes, 1).copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "subsystem_count", _count(self.subsystem_count, "subsystem_count"))
         if self.subsystem_count < 1:
             raise ValueError("subsystem_count must be positive")
         expected = self.encoding.ambient_dim ** self.subsystem_count
@@ -283,16 +289,17 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     Logical(b) if the projection onto the subspace of b carries at least
     (1-tol) of the squared norm (the lowest such b on ties); outside the code
     if the projection onto the span of all logical subspaces carries less
-    than (1-tol); superposition otherwise.  The weights are summed per frame
-    class in the frame basis, so no d^n-row subspace basis is built.
+    than (1-tol); superposition otherwise.  The weights are summed over each
+    bit string's block of frame labels (_label_blocks) in the frame basis, so
+    no d^n-row subspace basis is built.  Raises ValueError for a NaN or
+    negative tol.
     """
+    _check_tol(tol)
     if s.encoding is not enc and s.encoding != enc:
         raise ValueError("state was prepared under a different encoding")
     n = s.subsystem_count
     coeffs = kron_apply([enc.frame.conj().T] * n, s.normalized())
-    mass = kron_apply([enc.frame_classes] * n, np.abs(coeffs) ** 2)
-    r = enc.frame_classes.shape[0]
-    weights = mass.reshape((r,) * n)[(slice(0, 2),) * n].reshape(-1)
+    weights = (np.abs(coeffs) ** 2)[_label_blocks(enc.ambient_dim, enc.bit_dim, n)].sum(axis=1)
     best = int(np.argmax(weights))
     if weights[best] >= 1.0 - tol:
         return StateClassification(StateKind.LOGICAL, _bit_strings(n, [best])[0])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -95,6 +96,21 @@ def as_array(a, ndim: int) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ValueError(f"{noun} contains NaN or Inf entries")
     return out
+
+
+def _check_tol(tol) -> None:
+    """The one tolerance rule: ValueError for a NaN or negative tol."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+
+
+def _count(value, what: str) -> int:
+    """value as a Python int (operator.index), or ValueError naming `what`:
+    counts such as subsystem numbers and dimensions are integers, not floats."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _prescale(x: np.ndarray, extreme_only: bool = False) -> tuple[np.ndarray, int]:
@@ -349,8 +365,9 @@ def principal_unitary_sqrt(u, tol: float = 1e-9) -> np.ndarray:
     Each eigenvalue e^{i theta} with theta in (-pi, pi] is mapped to
     e^{i theta/2}; in particular -1 maps to +i.  The result is unitary and
     squares back to the input.  Raises ValueError if the input is not unitary
-    to within `tol`.
+    to within `tol`, or for a NaN or negative tol.
     """
+    _check_tol(tol)
     a = as_array(u, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError("principal_unitary_sqrt requires a square matrix")
@@ -413,8 +430,10 @@ def equal_up_to_phase(a, b, tol: float) -> complex | None:
     The candidate phase is read off the largest-modulus entry of b (first one
     in row-major order on ties); None if no unimodular phase works.  a and b
     are scaled by one power of two first and the norms are scale-safe, so the
-    answer holds across the whole double range.
+    answer holds across the whole double range.  Raises ValueError for a NaN
+    or negative tol.
     """
+    _check_tol(tol)
     am = as_array(a, 2)
     bm = as_array(b, 2)
     if am.shape != bm.shape:
@@ -436,7 +455,8 @@ def equal_up_to_phase(a, b, tol: float) -> complex | None:
 
 def is_unitary(m, tol: float) -> bool:
     """True iff ||m† m - I||_F <= tol, at any scale.  Raises ValueError for
-    non-square input."""
+    non-square input and for a NaN or negative tol."""
+    _check_tol(tol)
     a = as_array(m, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError("is_unitary requires a square matrix")

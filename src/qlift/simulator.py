@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, QuantumState, encode_bits
-from .linalg import as_array, is_unitary, tensor_to_matrix
+from .linalg import _count, as_array, is_unitary, tensor_to_matrix
 from .synthesis import named_gate
 
 __all__ = [
@@ -103,6 +103,7 @@ class Circuit:
     _checked: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "width", _count(self.width, "circuit width"))
         if self.width < 1:
             raise ValueError("circuit width must be positive")
         object.__setattr__(self, "steps", tuple(self.steps))

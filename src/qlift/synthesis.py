@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import Encoding, _bit_strings, _check_bits, _is_bits
-from .linalg import _ldexp, _prescale, _unitarity_residual, as_array
+from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _label_blocks
+from .linalg import _check_tol, _ldexp, _prescale, _unitarity_residual, as_array
 from .linalg import is_unitary, kron_apply, principal_unitary_sqrt
 
 __all__ = [
@@ -170,17 +170,11 @@ def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
     """W P W^dagger for a reversible f, with W = frame^(kron n) and P the
     permutation of frame labels that f induces; unchecked."""
     n = f.arity_in
-    d, k = enc.ambient_dim, enc.bit_dim
-    dim = d**n
-    # Frame labels per factor; label // k is the bit on logical directions and
-    # 2 or more on fixed ones.  A label tuple with a fixed factor stays put;
-    # the others get the image bits and keep their in-subspace indices.
-    labels = np.indices((d,) * n).reshape(n, -1)
-    bits = labels // k
-    logical = (bits < 2).all(axis=0)
-    outputs = f.image[np.ravel_multi_index(np.minimum(bits, 1), (2,) * n)]
-    out_bits = outputs >> np.arange(n - 1, -1, -1)[:, None] & 1
-    image = np.ravel_multi_index(np.where(logical, out_bits * k + labels % k, labels), (d,) * n)
+    dim = enc.ambient_dim**n
+    # Label j of x's block goes to label j of f(x)'s; fixed-factor labels stay.
+    blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
+    image = np.arange(dim)
+    image[blocks] = blocks[f.image]
     # One contraction of the row-major flattened P.  P is built complex so
     # that the contraction makes no converted copy of it; it is freed on
     # return, before the caller copies and checks the gate.
@@ -281,8 +275,7 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     For irreversible f the check runs against the reversible closure
     |x>|y> -> |x>|f(x) xor y>.  Raises ValueError for a NaN or negative tol.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    _check_tol(tol)
     um = as_array(u, 2)
     if um.shape[0] != um.shape[1]:
         raise ValueError("expected a square matrix")
@@ -295,31 +288,31 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
             f"{enc.ambient_dim}^{n} = {dim}"
         )
     unit_res = _unitarity_residual(um)
-    # Squared entries of frame^dagger u frame summed per (row class, column
-    # class) tuple: mass[i, j] is how much of class tuple j lands in tuple i.
     # A u with entries far from unit scale has a unitarity residual above 1.
     # Only such a u pays for the search of its largest entry, and only an
     # extreme one is copied (a copy adds a matrix to peak memory) and scaled.
     frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
     scaled, e = _prescale(um, extreme_only=True) if unit_res > 1.0 else (um, 0)
-    coeffs = kron_apply(frames, scaled.reshape(-1))
-    r = enc.frame_classes.shape[0]
-    mass = kron_apply([enc.frame_classes] * (2 * n), np.abs(coeffs) ** 2).reshape(r**n, r**n)
-    # Class-tuple index of each bit string.  A leak is the mass that lands
-    # outside its target, summed with the target zeroed: subtracting it from
-    # a column total of k^n would leave ~1e-8 of rounding after the sqrt.
-    code = np.ravel_multi_index(np.unravel_index(np.arange(2**n), (2,) * n), (r,) * n)
-    leak = mass[:, code]
-    leak[code[g.image], np.arange(2**n)] = 0.0
-    residuals = np.sqrt(leak.sum(axis=0)).tolist()
+    # Squared entries of frame^dagger u frame: sq[i, j] is how much of frame
+    # label j lands on label i, and mass[i, x] how much of x's block does
+    # (indexing, unlike np.take, leaves i the innermost axis, so the column
+    # sums below are pairwise).  A leak is the mass that lands outside the
+    # target block, summed with the target zeroed: subtracting it from a
+    # column total of k^n would leave ~1e-8 of rounding after the sqrt.
+    sq = (np.abs(kron_apply(frames, scaled.reshape(-1))) ** 2).reshape(dim, dim)
+    blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
+    mass = sq[:, blocks].sum(axis=2)
+    mass[blocks[g.image], np.arange(2**n)[:, None]] = 0.0
+    residuals = np.sqrt(mass.sum(axis=0)).tolist()
     if e:
         residuals = [_ldexp(res, e) for res in residuals]
     bits = _bit_strings(n)
     checks = [SubspaceCheck(x, bits[y], res, res <= tol) for x, y, res in zip(bits, g.image, residuals)]
+    # The complement leak: mass moving from labels with a fixed factor onto logical ones.
     comp_res = None
-    if r == 3:
-        leak = mass[code]
-        leak[:, code] = 0.0
+    if enc.fixed.shape[1]:
+        leak = sq[blocks.reshape(-1)]
+        leak[:, blocks] = 0.0
         comp_res = _ldexp(float(np.sqrt(leak.sum())), e)
     return QuantizationReport(unit_res <= tol, unit_res, tuple(checks), comp_res, tol)
 

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import qlift
 from qlift import entanglement as ent
 from qlift.cli import _index_digits, main
 from qlift.io import parse_complex
@@ -61,6 +62,12 @@ class TestSynth:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_non_orthonormal_encoding_file_is_parse_error(self, capsys, tmp_path, scale):
+        (tmp_path / "e.enc").write_text(f"dim 2\n0:\n{scale} 0\n1:\n0 1\n")
+        code, out, err = run_cli(capsys, "synth", fx("not.tt"), "--encoding", str(tmp_path / "e.enc"))
+        assert (code, out, err) == (2, "", "line 1, column 1: encoding basis vectors are not orthonormal\n")
 
     def test_missing_file_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "synth", fx("nope.tt"))
@@ -274,19 +281,25 @@ class TestVerify:
         assert "logical subspace '0'" in out
 
 
+def run_module(*args):
+    """`python -m qlift` in a child process that imports the qlift under test."""
+    src = os.path.dirname(os.path.dirname(qlift.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "qlift", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlift", "synth", fx("not.tt")],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("synth", fx("not.tt"))
         assert proc.returncode == 0
         assert "1.0+0.0i" in proc.stdout
 
     def test_help_mentions_h_normalization(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qlift", "--help"], capture_output=True, text=True
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "1/sqrt(2)" in proc.stdout

@@ -92,6 +92,15 @@ class TestBuiltinEncodings:
         with pytest.raises(ValueError, match="orthonormal"):
             en.Encoding("bad", 2, [[1, 0]], [[1, 1]])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_non_orthonormal_rejected_at_any_scale(self, scale):
+        """frame^dagger frame of a basis vector this far from unit length
+        overflows or underflows; the scale-safe residual still rejects it,
+        and no RuntimeWarning escapes (warnings are errors in this suite)."""
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(ValueError, match="orthonormal"):
+                en.Encoding("bad", 2, [[scale, 0]], [[0, 1]])
+
     def test_incomplete_accounting_rejected(self):
         with pytest.raises(ValueError, match="add up"):
             en.Encoding("bad", 3, [[1, 0, 0]], [[0, 0, 1]])
@@ -251,6 +260,16 @@ class TestQuantumState:
         q = en.builtin_encoding("qubit")
         with pytest.raises(ValueError, match="does not match"):
             en.QuantumState([1, 0, 0], q, 1)
+
+    @pytest.mark.parametrize("count", [2.0, "2", None])
+    def test_non_integer_subsystem_count_rejected(self, count):
+        q = en.builtin_encoding("qubit")
+        with pytest.raises(ValueError, match="subsystem_count must be an integer"):
+            en.QuantumState([1, 0, 0, 0], q, count)
+
+    def test_integer_like_subsystem_count_stored_as_int(self):
+        s = en.QuantumState([1, 0, 0, 0], en.builtin_encoding("qubit"), np.int64(2))
+        assert type(s.subsystem_count) is int and s.subsystem_count == 2
 
     def test_unnormalized_allowed(self):
         q = en.builtin_encoding("qubit")

@@ -34,6 +34,14 @@ class TestCoefficientMatrix:
             ent.schmidt([1, 0, 0, 1], *dims)
 
 
+    @pytest.mark.parametrize("dims", [(2.0, 2.0), (2, 2.0), (1.5, 2)])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="subsystem dimension must be an integer"):
+            ent.coefficient_matrix(PSI_PLUS, *dims)
+        with pytest.raises(ValueError, match="subsystem dimension must be an integer"):
+            ent.schmidt([1, 0, 0, 1], *dims)
+
+
 class TestSchmidt:
     def test_bell_state(self):
         r = ent.schmidt(PSI_PLUS, 2, 2)

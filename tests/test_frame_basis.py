@@ -21,6 +21,9 @@ def _encodings():
     q, _ = np.linalg.qr(random_complex(rng, (3, 3)))
     out = [en.builtin_encoding(name) for name in en.BUILTIN_ENCODINGS]
     out.append(en.Encoding("rotated", 3, [q[:, 0]], [q[:, 1]], [q[:, 2]]))
+    # Two-dimensional logical subspaces together with a fixed direction.
+    q, _ = np.linalg.qr(random_complex(rng, (5, 5)))
+    out.append(en.Encoding("d5k2", 5, q[:, 0:2], q[:, 2:4], q[:, 4:]))
     with open(os.path.join(FIXTURES, "qutrit_like.enc"), encoding="utf-8") as fh:
         out.append(qio.parse_encoding_file(fh.read()))
     return out
@@ -81,6 +84,21 @@ def reference_classify(enc, s, tol):
 @pytest.fixture(params=CASES, ids=_case_id)
 def case(request):
     return request.param
+
+
+def test_label_blocks_pick_the_logical_subspaces(case):
+    """Columns blocks[x] of frame^(kron n) are exactly logical_subspace(x),
+    and the labels in no block give exactly fixed_complement."""
+    enc, n = case
+    power = enc.frame
+    for _ in range(n - 1):
+        power = np.kron(power, enc.frame)
+    blocks = en._label_blocks(enc.ambient_dim, enc.bit_dim, n)
+    assert blocks.shape == (2**n, enc.bit_dim**n) and not blocks.flags.writeable
+    for x, bits in enumerate(_bit_strings(n)):
+        assert np.array_equal(power[:, blocks[x]], en.logical_subspace(enc, bits))
+    rest = np.setdiff1d(np.arange(enc.ambient_dim**n), blocks)
+    assert np.array_equal(power[:, rest], en.fixed_complement(enc, n))
 
 
 def test_quantize_matches_reference(case):

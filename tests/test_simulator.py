@@ -145,6 +145,10 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="width"):
             sim.run_circuit(BELL, "0")
 
+    def test_non_integer_width_rejected(self):
+        with pytest.raises(ValueError, match="circuit width must be an integer"):
+            sim.Circuit(QUBIT, 2.0, (sim.CircuitStep("H", (0,)),))
+
     def test_width_cap(self):
         with pytest.raises(ValueError, match="cap"):
             sim.run_circuit(sim.Circuit(QUBIT, 21, ()), "0" * 21)

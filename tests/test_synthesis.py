@@ -293,10 +293,24 @@ class TestIsQuantizationOf:
         assert report.complement_residual == pytest.approx(np.sin(t))
         assert not report.ok and report.failures()[0].startswith("fixed complement is not preserved")
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, -float("inf")])
-    def test_nan_or_negative_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            sy.quantization_report(X, NEGATION, QUBIT, tol)
+    @pytest.mark.parametrize(
+        "routine,tol",
+        [
+            pytest.param(routine, tol, id=f"{prefix}{tol!r}")
+            for prefix, routine in [
+                ("", lambda tol: sy.quantization_report(X, NEGATION, QUBIT, tol)),
+                ("classify_state-", lambda tol: en.classify_state(QUBIT, en.encode_bits(QUBIT, "01"), tol)),
+                ("is_unitary-", lambda tol: la.is_unitary(np.eye(2), tol)),
+                ("equal_up_to_phase-", lambda tol: la.equal_up_to_phase(np.eye(2), np.eye(2), tol)),
+                ("principal_unitary_sqrt-", lambda tol: la.principal_unitary_sqrt(np.eye(2), tol)),
+            ]
+            for tol in [float("nan"), -1e-9, -float("inf")]
+        ],
+    )
+    def test_nan_or_negative_tol_rejected(self, routine, tol):
+        """Every routine that takes a tolerance holds it to one rule."""
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            routine(tol)
 
     def test_huge_permutation_is_not_a_quantization(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
