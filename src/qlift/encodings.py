@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_tol, _count, _norm, _unit, _unitarity_residual, as_array, kron, kron_apply
+from .linalg import _check_tol, _count, _kron_apply, _norm, _unit, _unitarity_residual, as_array, kron
 
 __all__ = [
     "Encoding",
@@ -298,7 +298,7 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     if s.encoding is not enc and s.encoding != enc:
         raise ValueError("state was prepared under a different encoding")
     n = s.subsystem_count
-    coeffs = kron_apply([enc.frame.conj().T] * n, s.normalized())
+    coeffs = _kron_apply([enc.frame.conj().T] * n, s.normalized())
     weights = (np.abs(coeffs) ** 2)[_label_blocks(enc.ambient_dim, enc.bit_dim, n)].sum(axis=1)
     best = int(np.argmax(weights))
     if weights[best] >= 1.0 - tol:

@@ -34,7 +34,7 @@ import numpy as np
 from .encodings import BUILTIN_ENCODINGS, Encoding, _bit_strings, _check_bits, builtin_encoding
 from .linalg import as_array
 from .simulator import Circuit, CircuitStep, _check_step
-from .synthesis import NAMED_GATES, ClassicalFunction, _check_arities, _missing_inputs, controlled, named_gate
+from .synthesis import NAMED_GATES, ClassicalFunction, _check_arities, _controlled_block, _missing_inputs, named_gate
 
 __all__ = [
     "Diagnostic",
@@ -345,8 +345,7 @@ def _resolve_gate(
             except ValueError:
                 raise ValueError(f"R expects a real angle in radians, got {arg!r}") from None
         if head == "C":
-            inner = parse_matrix(_read_file(arg, base_dir))
-            return controlled(inner)
+            return _controlled_block(parse_matrix(_read_file(arg, base_dir)))
         raise ValueError(f"unknown parameterized gate {head!r}")
     if tok in NAMED_GATES:
         return named_gate(tok, enc)

@@ -169,7 +169,8 @@ def kron(a, b) -> np.ndarray:
 
     Entry ((i1,i2),(j1,j2)) of the result is a[i1,j1]*b[i2,j2] under row-major
     flattening of the paired indices.  Accepts two vectors (returning a vector)
-    or two matrices (returning a matrix).
+    or two matrices (returning a matrix).  Raises ValueError if an entry of
+    the product exceeds the double range.
     """
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
@@ -177,7 +178,11 @@ def kron(a, b) -> np.ndarray:
         raise ValueError("kron expects vectors or matrices")
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
         raise ValueError("kron operand contains NaN or Inf entries")
-    return np.kron(aa, bb)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return np.kron(aa, bb)
+    except FloatingPointError:
+        raise ValueError("kron product exceeds the double range") from None
 
 
 def kron_apply(mats, x) -> np.ndarray:
@@ -187,8 +192,21 @@ def kron_apply(mats, x) -> np.ndarray:
     column counts.  Each factor in turn contracts the leading index of x and
     the result index moves to the back, so after the last factor the indices
     are back in order.  The cost is one small matmul per factor over len(x)
-    entries instead of a product-sized matrix.
+    entries instead of a product-sized matrix.  Raises ValueError if an
+    entry of a partial product exceeds the double range.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _kron_apply(mats, x)
+    except FloatingPointError:
+        raise ValueError("kron_apply result exceeds the double range") from None
+
+
+def _kron_apply(mats, x) -> np.ndarray:
+    """kron_apply without the range guard and the np.errstate it costs on
+    every call.  For callers whose partial products stay far inside the
+    double range: unit-scale frame factors on a normalized or prescaled
+    operand."""
     x = np.asarray(x)
     cols = [m.shape[1] for m in mats]
     if x.ndim not in (1, 2) or x.shape[0] != math.prod(cols):
@@ -197,20 +215,6 @@ def kron_apply(mats, x) -> np.ndarray:
     for m, c in zip(mats, cols):
         x = x.reshape(c, -1).T.dot(m.T)
     return x.reshape(*rest, -1).T
-
-
-def _complete_orthonormal(u: np.ndarray, dead: np.ndarray) -> None:
-    """Replace the columns of `u` flagged in `dead` by unit vectors orthogonal
-    to every other column.  Deterministic: each takes the standard basis
-    vector with the largest part outside the span of the others (the first on
-    ties), projected out twice.  That part has norm at least 1/sqrt(rows)."""
-    for j in np.flatnonzero(dead):
-        u[:, j] = 0.0
-        i = int(np.argmin(np.einsum("ik,ik->i", u.conj(), u).real))
-        cand = -(u @ u[i].conj())
-        cand[i] += 1.0
-        cand -= u @ (u.conj().T @ cand)
-        u[:, j] = cand / np.linalg.norm(cand)
 
 
 @functools.lru_cache(maxsize=64)
@@ -301,7 +305,10 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entries.  The input is scaled by a power of two near its largest entry
     first and s scaled back, so no square in the sweeps overflows or
     underflows; singular values below about 1.5e-147 times the largest entry
-    come back as 0 (see _JACOBI_FLOOR).  Raises ValueError if the largest
+    come back as 0 (see _JACOBI_FLOOR).  The singular vectors of the zero
+    values on the rotated side are the trailing columns of the complete
+    Householder QR (np.linalg.qr) of those of the nonzero values, so that
+    factor is orthonormal at any rank.  Raises ValueError if the largest
     singular value exceeds the double range and ConvergenceError if the sweep
     cap is exceeded.
     """
@@ -319,11 +326,10 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if math.frexp(norms[0])[1] + e > np.finfo(np.float64).maxexp:
         raise ValueError("the largest singular value exceeds the double range")
 
-    dead = norms == 0.0
-    left = np.where(dead, 1.0, norms)
-    uw = w / left
-    if dead.any():
-        _complete_orthonormal(uw, dead)
+    rank = np.count_nonzero(norms)
+    uw = w[:, :rank] / norms[:rank]
+    if rank < len(norms):
+        uw = np.hstack([uw, np.linalg.qr(uw, mode="complete")[0][:, rank : len(norms)]])
 
     sigma = np.ldexp(norms, e)
     if transposed:
@@ -406,6 +412,8 @@ def tensor_apply(t, x) -> np.ndarray:
     if tt.shape[2] != xm.size:
         raise ValueError(f"expected {xm.size} slices, got {tt.shape[2]}")
     y = np.einsum("ijk,ji->k", tt, xm)
+    if not np.isfinite(y).all():
+        raise ValueError("tensor_apply result exceeds the double range")
     return unres(y, xm.shape[0], xm.shape[1])
 
 

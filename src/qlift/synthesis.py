@@ -20,7 +20,7 @@ import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _label_blocks
 from .linalg import _check_tol, _ldexp, _prescale, _unitarity_residual, as_array
-from .linalg import is_unitary, kron_apply, principal_unitary_sqrt
+from .linalg import _kron_apply, is_unitary, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -180,7 +180,7 @@ def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
     # return, before the caller copies and checks the gate.
     frames = [enc.frame] * n + [enc.frame.conj()] * n
     perm = np.eye(dim, dtype=np.complex128)[:, image].reshape(-1)
-    return kron_apply(frames, perm).reshape(dim, dim)
+    return _kron_apply(frames, perm).reshape(dim, dim)
 
 
 def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
@@ -202,15 +202,23 @@ def quantize_irreversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGat
     return SynthesizedGate(_reversible_matrix(closed, enc), enc, f, "irreversible", closed.arity_in)
 
 
-def controlled(u) -> np.ndarray:
-    """Block matrix diag(I2, u) for a 2x2 unitary u."""
+def _controlled_block(u) -> np.ndarray:
+    """Block matrix diag(I2, u) for any 2x2 matrix u.  Circuit files build
+    C(...) gates through it and leave unitarity to `Circuit`, as for gates
+    read from matrix files."""
     um = as_array(u, 2)
     if um.shape != (2, 2):
         raise ValueError(f"controlled() expects a 2x2 matrix, got {um.shape}")
-    if not is_unitary(um, _UNITARY_TOL):
-        raise ValueError("controlled() expects a unitary matrix")
     out = np.eye(4, dtype=np.complex128)
     out[2:, 2:] = um
+    return out
+
+
+def controlled(u) -> np.ndarray:
+    """Block matrix diag(I2, u) for a 2x2 unitary u."""
+    out = _controlled_block(u)
+    if not is_unitary(out[2:, 2:], _UNITARY_TOL):
+        raise ValueError("controlled() expects a unitary matrix")
     return out
 
 
@@ -299,7 +307,7 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     # sums below are pairwise).  A leak is the mass that lands outside the
     # target block, summed with the target zeroed: subtracting it from a
     # column total of k^n would leave ~1e-8 of rounding after the sqrt.
-    sq = (np.abs(kron_apply(frames, scaled.reshape(-1))) ** 2).reshape(dim, dim)
+    sq = (np.abs(_kron_apply(frames, scaled.reshape(-1))) ** 2).reshape(dim, dim)
     blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
     mass = sq[:, blocks].sum(axis=2)
     mass[blocks[g.image], np.arange(2**n)[:, None]] = 0.0

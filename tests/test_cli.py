@@ -176,6 +176,13 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(circ), "--input", "0")
         assert code == 1 and not out and "not unitary" in err
 
+    def test_non_unitary_controlled_gate_is_domain_error(self, capsys, tmp_path):
+        (tmp_path / "shear.mat").write_text("1 1\n0 1\n")
+        circ = tmp_path / "cshear.circ"
+        circ.write_text("encoding qubit\nwidth 2\nC(shear.mat) 0 1\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "00")
+        assert (code, out, err) == (1, "", "error: gate matrix is not unitary\n")
+
     def test_bad_target_is_parse_error_at_gate(self, capsys, tmp_path):
         circ = tmp_path / "range.circ"
         circ.write_text("encoding qubit\nwidth 2\nCNOT 0 2\n")
@@ -273,6 +280,19 @@ class TestVerify:
         for tol in ("1E-3", " .5", "+0", "-0"):
             code, out, _ = run_cli(capsys, "verify", fx("x.mat"), fx("not.tt"), "--tol", tol)
             assert code == 0 and "verdict: true" in out
+
+    @pytest.mark.parametrize(
+        "rows,code,line",
+        [
+            ("0 0 1\n0 1 0\n1 0 0\n", 0, "fixed complement: ok (residual 0.000e+00)"),
+            ("0 1 0\n0 0 1\n1 0 0\n", 1, "fixed complement: VIOLATED (residual 1.000e+00)"),
+        ],
+    )
+    def test_fixed_complement_line(self, capsys, tmp_path, rows, code, line):
+        """qutrit has one fixed direction, so verify reports its residual."""
+        (tmp_path / "g.mat").write_text(rows)
+        got, out, _ = run_cli(capsys, "verify", str(tmp_path / "g.mat"), fx("not.tt"), "--encoding", "qutrit")
+        assert got == code and line in out.splitlines()
 
     def test_antidiagonal_diagnostic_names_subspace(self, capsys):
         _, out, _ = run_cli(

@@ -105,6 +105,18 @@ class TestBuiltinEncodings:
         with pytest.raises(ValueError, match="add up"):
             en.Encoding("bad", 3, [[1, 0, 0]], [[0, 0, 1]])
 
+    @pytest.mark.parametrize(
+        "dim,basis0,basis1,match",
+        [
+            (1, [[1]], [[1]], "ambient dimension must be at least 2"),
+            (2, [], [], "at least one-dimensional"),
+            (2, [[1, 0, 0]], [[0, 1]], "basis vectors have dimension 3, expected 2"),
+        ],
+    )
+    def test_malformed_encoding_rejected(self, dim, basis0, basis1, match):
+        with pytest.raises(ValueError, match=match):
+            en.Encoding("bad", dim, basis0, basis1)
+
 
 class TestEncodeBits:
     def test_two_qubits(self):
@@ -221,6 +233,22 @@ class TestClassifyState:
         s = en.QuantumState([0, 1, 0], t, 1)
         assert en.classify_state(t, s, 1e-9).kind is en.StateKind.OUTSIDE_CODE
 
+    def test_state_of_another_encoding_rejected(self):
+        s = en.QuantumState([1, 0], en.builtin_encoding("qubit"), 1)
+        with pytest.raises(ValueError, match="different encoding"):
+            en.classify_state(en.builtin_encoding("qutrit"), s, 1e-9)
+
+    @pytest.mark.parametrize(
+        "kind,bits,text",
+        [
+            (en.StateKind.LOGICAL, "01", "logical(01)"),
+            (en.StateKind.SUPERPOSITION, None, "superposition"),
+            (en.StateKind.OUTSIDE_CODE, None, "outside_code"),
+        ],
+    )
+    def test_classification_str(self, kind, bits, text):
+        assert str(en.StateClassification(kind, bits)) == text
+
     def test_encoded_bits_classify_logical(self, encoding):
         for n in range(1, 4):
             for idx in range(2**n):
@@ -266,6 +294,11 @@ class TestQuantumState:
         q = en.builtin_encoding("qubit")
         with pytest.raises(ValueError, match="subsystem_count must be an integer"):
             en.QuantumState([1, 0, 0, 0], q, count)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_subsystem_count_rejected(self, count):
+        with pytest.raises(ValueError, match="subsystem_count must be positive"):
+            en.QuantumState([1, 0], en.builtin_encoding("qubit"), count)
 
     def test_integer_like_subsystem_count_stored_as_int(self):
         s = en.QuantumState([1, 0, 0, 0], en.builtin_encoding("qubit"), np.int64(2))

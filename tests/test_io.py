@@ -300,6 +300,17 @@ class TestCircuitFormat:
         )
         assert np.array_equal(doc.statements[0].matrix, sy.cnot())
 
+    def test_non_unitary_controlled_gate_left_to_circuit(self, tmp_path):
+        """C(...) checks the 2x2 shape when parsed; unitarity, as for a matrix
+        file gate, is checked when the circuit is built."""
+        (tmp_path / "shear.mat").write_text("1 1\n0 1\n")
+        doc = qio.parse_circuit("encoding qubit\nwidth 2\nC(shear.mat) 0 1\n", base_dir=str(tmp_path))
+        expected = np.eye(4, dtype=complex)
+        expected[2, 3] = 1
+        assert np.array_equal(doc.statements[0].matrix, expected)
+        with pytest.raises(ValueError, match="gate matrix is not unitary"):
+            doc.to_circuit()
+
     def test_matrix_file_statement(self):
         doc = qio.parse_circuit(
             "encoding qubit\nwidth 2\nnot4.mat 0 1\n", base_dir=FIXTURES

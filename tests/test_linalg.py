@@ -79,6 +79,14 @@ class TestKron:
         with pytest.raises(ValueError):
             la.kron(np.array([[np.nan, 0], [0, 1]]), X)
 
+    def test_rejects_bad_ndim(self):
+        with pytest.raises(ValueError, match="vectors or matrices"):
+            la.kron(np.ones((2, 2, 2)), X)
+
+    def test_product_beyond_double_range_rejected(self):
+        with pytest.raises(ValueError, match="double range"):
+            la.kron([1e200, 0], [1e200, 0])
+
 
 class TestKronApply:
     @given(st.data(), st.integers(min_value=1, max_value=4), st.booleans(), st.integers(0, 2))
@@ -106,6 +114,10 @@ class TestKronApply:
             la.kron_apply([np.eye(2), np.eye(3)], np.ones(5))
         with pytest.raises(ValueError, match="column counts"):
             la.kron_apply([np.eye(2)], np.ones((2, 2, 2)))
+
+    def test_product_beyond_double_range_rejected(self):
+        with pytest.raises(ValueError, match="double range"):
+            la.kron_apply([np.eye(2) * 1e200] * 2, np.ones(4) * 1e200)
 
 
 class TestSvd:
@@ -410,6 +422,8 @@ class TestGateTensor:
             la.tensor_apply(np.zeros((2, 2, 3)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             la.tensor_apply(np.zeros((2, 2, 4)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="cannot act on 2x3 states"):
+            la.matrix_to_tensor(np.eye(4), 2, 3)
 
 
 class TestEqualUpToPhase:
@@ -441,6 +455,11 @@ class TestEqualUpToPhase:
         assert la.equal_up_to_phase(np.array([[1.0]]), np.array([[1e-320]]), 1e-9) is None
         huge = np.diag([1.5e308, 1.5e308])
         assert la.equal_up_to_phase(huge, np.diag([1.5e308, -1.5e308]), 1e-9) is None
+
+    def test_zero_b(self):
+        zero = np.zeros((2, 2))
+        assert la.equal_up_to_phase(zero, zero, 0.0) == 1.0
+        assert la.equal_up_to_phase(X, zero, 1e-9) is None
 
     def test_tiny_difference_is_not_equality(self):
         a = np.array([[1.0, 1e-170], [0.0, 1.0]])
@@ -497,3 +516,140 @@ class TestIsUnitary:
             residual = la._unitarity_residual(u * s)
         if exponent != 0:
             assert residual == pytest.approx(abs(s * s - 1.0) * math.sqrt(n), rel=1e-9)
+
+
+class TestAsArray:
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+    def test_single_row_or_column_matrix_is_a_vector(self, shape):
+        got = la.as_array(np.arange(1, 4).reshape(shape), 1)
+        assert got.shape == (3,) and np.array_equal(got, [1, 2, 3])
+
+
+# Powers of two scale exactly, so a result scaled back by 2**-e is comparable
+# with the unit-scale reference; 2**±997 spans about 10**±300.
+scale_exps = st.integers(-997, 997)
+# Below this exponent of the bound on a result's entries, no partial result
+# can overflow: a ValueError there would be a false alarm.
+_SAFE_EXP = 1022
+
+
+def range_checked(f, *args):
+    """f(*args) with overflow and invalid operations raised as errors, or
+    None when f raises ValueError naming the double range."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return f(*args)
+        except ValueError as exc:
+            assert "double range" in str(exc)
+            return None
+
+
+def assert_scaled_back(got, e, want, bound, terms, low=None):
+    """got * 2**-e matches the unit-scale want to 1e-12 of `bound` (the
+    unit-scale bound on the entries), allowing each of `terms` summands per
+    entry to have underflowed by 2**-1074 at scale 2**low (default e)."""
+    back = np.ldexp(got.real, -e) + 1j * np.ldexp(got.imag, -e)
+    assert back.shape == want.shape
+    # Past 2**1000 the allowance exceeds any unit-scale entry: all underflowed.
+    slack = 1e-12 * bound + terms * math.ldexp(1.0, min(-1073 - (e if low is None else low), 1000))
+    assert np.max(np.abs(back - want)) <= slack
+
+
+class TestScaleSafety:
+    """Each routine, with operands scaled anywhere from 10**-300 to 10**300,
+    returns the scaled unit-scale answer or raises ValueError naming the
+    double range, and only where a result can leave it; no floating-point
+    exception escapes."""
+
+    @given(
+        st.tuples(small_dims, small_dims), st.tuples(small_dims, small_dims),
+        st.booleans(), scale_exps, scale_exps, seeds,
+    )
+    @example((1, 2), (2, 1), True, 997, 997, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_kron(self, sa, sb, vectors, p, q, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_complex(rng, sa), random_complex(rng, sb)
+        if vectors:
+            a, b = a.reshape(-1), b.reshape(-1)
+        got = range_checked(la.kron, a * 2.0**p, b * 2.0**q)
+        bound = np.abs(a).max() * np.abs(b).max()
+        if got is None:
+            assert math.log2(bound) + p + q > _SAFE_EXP
+        else:
+            assert_scaled_back(got, p + q, np.kron(a, b), bound, 1)
+
+    @given(st.lists(st.tuples(small_dims, small_dims), min_size=1, max_size=3),
+           st.integers(0, 2), scale_exps, scale_exps, seeds)
+    @example([(2, 2), (2, 2)], 0, 664, 664, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_kron_apply(self, shapes, rest, p, q, seed):
+        """x scaled by 2**p and every factor by 2**q."""
+        rng = np.random.default_rng(seed)
+        count = len(shapes)
+        mats = [random_complex(rng, s) for s in shapes]
+        cols = math.prod(c for _, c in shapes)
+        x = random_complex(rng, (cols, rest) if rest else (cols,))
+        got = range_checked(la.kron_apply, [m * 2.0**q for m in mats], x * 2.0**p)
+        dense = functools.reduce(np.kron, mats)
+        bound = float(np.max(np.abs(dense) @ np.abs(x)))
+        # Each factor's largest row sum of |m| bounds the growth of a stage.
+        growth = [float(np.abs(m).sum(axis=1).max()) for m in mats]
+        if got is None:
+            stages = itertools.accumulate(growth, lambda acc, g: acc * g, initial=float(np.abs(x).max()))
+            assert max(math.log2(v) + p + k * q for k, v in enumerate(stages)) > _SAFE_EXP
+        else:
+            # Stage k works at scale 2**(p + k*q); what underflows there is
+            # scaled up by the later factors.
+            terms = cols * math.prod(max(1.0, g) for g in growth)
+            assert_scaled_back(got, p + count * q, dense @ x, bound, terms, low=p + min(q, count * q))
+
+    @given(small_dims, scale_exps, scale_exps, seeds)
+    @example(2, 997, 997, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_tensor_apply(self, n, p, q, seed):
+        """Square states, as the matrix encodings use."""
+        rng = np.random.default_rng(seed)
+        t, x = random_complex(rng, (n, n, n * n)), random_complex(rng, (n, n))
+        got = range_checked(la.tensor_apply, t * 2.0**p, x * 2.0**q)
+        g = la.tensor_to_matrix(t)
+        bound = float(np.max(np.abs(g) @ np.abs(la.res(x))))
+        if got is None:
+            assert math.log2(bound) + p + q > _SAFE_EXP
+        else:
+            assert_scaled_back(got, p + q, la.unres(g @ la.res(x), n, n), bound, n * n)
+
+    @given(small_dims, small_dims, scale_exps, seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_reshapes_are_exact(self, rows, cols, p, seed):
+        rng = np.random.default_rng(seed)
+        m = random_complex(rng, (rows, cols)) * 2.0**p
+        g = random_complex(rng, (rows * cols, rows * cols)) * 2.0**p
+        with np.errstate(over="raise", invalid="raise"):
+            assert np.array_equal(la.unres(la.res(m), rows, cols), m)
+            assert np.array_equal(la.tensor_to_matrix(la.matrix_to_tensor(g, rows, cols)), g)
+
+    @given(shapes, st.integers(1, 9), st.lists(st.integers(0, 2), min_size=9, max_size=9),
+           st.booleans(), exponents, seeds)
+    @example((8, 8), 6, [0] * 7 + [1, 0], False, 0, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_svd_rank_deficient(self, shape, rank, kinds, wide, exponent, seed):
+        """Columns past `rank` are zero (kind 0), copies of earlier ones (1)
+        or below the Jacobi floor (2), so the basis completion runs; a wide
+        input puts it on the v side."""
+        rows, cols = max(shape), min(shape)
+        rank = min(rank, cols)
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, (rows, cols))
+        for j in range(rank, cols):
+            if kinds[j] == 0:
+                a[:, j] = 0.0
+            elif kinds[j] == 1:
+                a[:, j] = a[:, rng.integers(0, rank)]
+            else:
+                a[:, j] *= 2.0**-600
+        a = (a.conj().T if wide else a) * 10.0**exponent
+        with np.errstate(over="raise", invalid="raise"):
+            assert_valid_svd(a)
+            _, s, _ = la.svd(a)
+        assert np.all(s[rank:] <= 1e-13 * s[0])

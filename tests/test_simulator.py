@@ -149,6 +149,11 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="circuit width must be an integer"):
             sim.Circuit(QUBIT, 2.0, (sim.CircuitStep("H", (0,)),))
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_non_positive_width_rejected(self, width):
+        with pytest.raises(ValueError, match="circuit width must be positive"):
+            sim.Circuit(QUBIT, width, ())
+
     def test_width_cap(self):
         with pytest.raises(ValueError, match="cap"):
             sim.run_circuit(sim.Circuit(QUBIT, 21, ()), "0" * 21)

@@ -54,6 +54,10 @@ class TestClassicalFunction:
         both = sy.compose(NEGATION, NEGATION)
         assert both.table == sy.ClassicalFunction.identity(1).table
 
+    def test_compose_rejects_arity_mismatch(self):
+        with pytest.raises(ValueError, match="arity mismatch"):
+            sy.compose(NEGATION, sy.ClassicalFunction.identity(2))
+
     def test_image_is_read_only_integer_table(self):
         assert CONDITIONAL_NOT.image.tolist() == [0, 1, 3, 2]
         assert sy.ClassicalFunction.constant(2, "10").image.tolist() == [2, 2, 2, 2]
@@ -84,6 +88,10 @@ class TestQuantizeReversible:
     def test_rejects_irreversible(self):
         with pytest.raises(ValueError, match="quantize_irreversible"):
             sy.quantize_reversible(sy.ClassicalFunction.constant(1, "0"), QUBIT)
+
+    def test_non_unitary_gate_rejected(self):
+        with pytest.raises(ValueError, match="synthesized gate is not unitary"):
+            sy.SynthesizedGate(np.ones((2, 2)), QUBIT, NEGATION, "reversible", 1)
 
     def test_qubit_bijections_give_exact_permutation_matrices(self):
         rng = np.random.default_rng(41)
@@ -272,6 +280,8 @@ class TestIsQuantizationOf:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             sy.is_quantization_of(np.eye(3), NEGATION, QUBIT, 1e-9)
+        with pytest.raises(ValueError, match="square"):
+            sy.quantization_report(np.ones((2, 3)), NEGATION, QUBIT, 1e-9)
 
     def test_non_unitary_reported(self):
         report = sy.quantization_report(np.zeros((2, 2)), NEGATION, QUBIT, 1e-9)
