@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * vectors are 1-D ``complex128`` arrays, matrices 2-D, gate tensors 3-D with
-  the slice index last (shape ``(rows, cols, slices)``);
+  the slice index last (shape ``(rows, cols, slices)``, acting on
+  ``cols x rows`` states);
 * ``res`` flattens a matrix row-major into a column vector, ``unres`` inverts it;
 * Kronecker products put the first factor in the most significant position;
 * the principal square root of a unitary halves each eigenphase taken in
@@ -192,19 +193,32 @@ def kron_apply(mats, x) -> np.ndarray:
     column counts.  Each factor in turn contracts the leading index of x and
     the result index moves to the back, so after the last factor the indices
     are back in order.  The cost is one small matmul per factor over len(x)
-    entries instead of a product-sized matrix.  Raises ValueError if an
-    entry of a partial product exceeds the double range.
+    entries instead of a product-sized matrix.  If a partial product
+    overflows or underflows, as with factors at opposite extreme scales, the
+    product is taken again with each factor and x scaled by a power of two
+    near its largest entry and the result scaled back.  Raises ValueError for
+    NaN or Inf entries and if an entry of the result exceeds the double range.
     """
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            return _kron_apply(mats, x)
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            y = _kron_apply(mats, x)
+        if np.isfinite(y).all():
+            return y
     except FloatingPointError:
-        raise ValueError("kron_apply result exceeds the double range") from None
+        pass
+    parts = [_prescale(np.asarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)) for a in (*mats, x)]
+    if not all(np.isfinite(a).all() for a, _ in parts):
+        raise ValueError("kron_apply operand contains NaN or Inf entries")
+    y, e = _prescale(_kron_apply([a for a, _ in parts[:-1]], parts[-1][0]))
+    e += sum(k for _, k in parts)
+    if e > np.finfo(np.float64).maxexp:
+        raise ValueError("kron_apply result exceeds the double range")
+    return np.ldexp(y.view(np.float64), e).view(y.dtype)
 
 
 def _kron_apply(mats, x) -> np.ndarray:
-    """kron_apply without the range guard and the np.errstate it costs on
-    every call.  For callers whose partial products stay far inside the
+    """kron_apply without the scaling and the range check they cost on every
+    call.  For callers whose partial products stay far inside the
     double range: unit-scale frame factors on a normalized or prescaled
     operand."""
     x = np.asarray(x)
@@ -306,9 +320,10 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first and s scaled back, so no square in the sweeps overflows or
     underflows; singular values below about 1.5e-147 times the largest entry
     come back as 0 (see _JACOBI_FLOOR).  The singular vectors of the zero
-    values on the rotated side are the trailing columns of the complete
-    Householder QR (np.linalg.qr) of those of the nonzero values, so that
-    factor is orthonormal at any rank.  Raises ValueError if the largest
+    values on the rotated side are the trailing columns of the reduced
+    Householder QR (np.linalg.qr) of those of the nonzero values padded with
+    zero columns, so that factor is orthonormal at any rank and the QR works
+    in the input's own rows x cols.  Raises ValueError if the largest
     singular value exceeds the double range and ConvergenceError if the sweep
     cap is exceeded.
     """
@@ -329,7 +344,8 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rank = np.count_nonzero(norms)
     uw = w[:, :rank] / norms[:rank]
     if rank < len(norms):
-        uw = np.hstack([uw, np.linalg.qr(uw, mode="complete")[0][:, rank : len(norms)]])
+        padded = np.hstack([uw, np.zeros((len(uw), len(norms) - rank))])
+        uw = np.hstack([uw, np.linalg.qr(padded)[0][:, rank:]])
 
     sigma = np.ldexp(norms, e)
     if transposed:
@@ -403,12 +419,13 @@ def tensor_apply(t, x) -> np.ndarray:
     """Act with a gate tensor on a matrix-encoded state.
 
     Computes y_k = trace(slice_k @ x) for each slice and reshapes y back into
-    the shape of x.  Equivalent to unres(G @ res(x)) for G = tensor_to_matrix(t).
+    the shape of x, so the slices of a rows x cols state are cols x rows.
+    Equivalent to unres(G @ res(x)) for G = tensor_to_matrix(t).
     """
     tt = as_array(t, 3)
     xm = as_array(x, 2)
-    if tt.shape[:2] != xm.shape:
-        raise ValueError(f"tensor slices {tt.shape[:2]} do not match state shape {xm.shape}")
+    if tt.shape[:2] != xm.shape[::-1]:
+        raise ValueError(f"tensor slices {tt.shape[:2]} do not act on a state of shape {xm.shape}")
     if tt.shape[2] != xm.size:
         raise ValueError(f"expected {xm.size} slices, got {tt.shape[2]}")
     y = np.einsum("ijk,ji->k", tt, xm)
@@ -425,11 +442,12 @@ def tensor_to_matrix(t) -> np.ndarray:
 
 
 def matrix_to_tensor(g, rows: int, cols: int) -> np.ndarray:
-    """Gate tensor whose trace action reproduces y = g @ res(x)."""
+    """Gate tensor, of shape (cols, rows, len(g)), whose trace action on a
+    rows x cols state x reproduces y = g @ res(x)."""
     gm = as_array(g, 2)
     if gm.shape[1] != rows * cols:
         raise ValueError(f"matrix with {gm.shape[1]} columns cannot act on {rows}x{cols} states")
-    return gm.reshape(gm.shape[0], cols, rows).transpose(2, 1, 0).copy()
+    return gm.reshape(gm.shape[0], rows, cols).transpose(2, 1, 0).copy()
 
 
 def equal_up_to_phase(a, b, tol: float) -> complex | None:
