@@ -4,7 +4,7 @@ Encodings map bit values to orthonormal subspaces of an ambient space (qubit,
 qutrit, two-dimensional ququart subspaces, matrix-unit and Pauli spans); gate
 synthesis turns truth tables into unitaries under any of them; the analysis
 side provides Schmidt decomposition, separability classification, principal
-gate square roots, and a brute-force census of permutation-matrix gates.
+gate square roots, and a census of permutation-matrix gates by pruned search.
 """
 
 from . import encodings, entanglement, linalg, simulator, synthesis

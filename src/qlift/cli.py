@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import io as qio
+from .encodings import _is_bits
 from .entanglement import _separability, schmidt
 from .linalg import ConvergenceError, principal_unitary_sqrt
 from .simulator import basis_probabilities, run_circuit
@@ -60,6 +61,10 @@ def cmd_sqrt(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if not _is_bits(args.input):
+        raise qio.ParseError(
+            [qio.Diagnostic(1, 1, f"--input expects a string of 0s and 1s, got {args.input!r}")]
+        )
     doc = qio.parse_circuit(qio._read_file(args.circuit), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
     state = run_circuit(doc.to_circuit(), args.input)
     print("amplitudes:")

@@ -385,6 +385,9 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
 
     diagnostics: list[Diagnostic] = []
     statements: list[Statement] = []
+    # Each distinct gate token is resolved once, read-only; a token that
+    # fails is tried again, so each of its statements gets its diagnostic.
+    gates: dict[str, np.ndarray] = {}
     for ln, content in lines[2:]:
         (gate_col, gate_tok), *target_toks = _tokens(content)
         if not target_toks:
@@ -394,7 +397,10 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
         if targets is None:
             continue
         try:
-            matrix = _resolve_gate(gate_tok, enc, base_dir)
+            matrix = gates.get(gate_tok)
+            if matrix is None:
+                matrix = gates[gate_tok] = _resolve_gate(gate_tok, enc, base_dir)
+                matrix.setflags(write=False)
             matrix, checked = _check_step(matrix, targets, enc.ambient_dim, width)
         except (ValueError, OSError) as exc:
             diagnostics.append(Diagnostic(ln, gate_col, str(exc)))

@@ -334,25 +334,53 @@ def is_quantization_of(u, f: ClassicalFunction, enc: Encoding, tol: float) -> bo
 def enumerate_permutation_quantizations(
     f: ClassicalFunction, enc: Encoding
 ) -> list[np.ndarray]:
-    """All 0/1 permutation matrices realizing a reversible f under enc.
+    """All 0/1 permutation matrices realizing a reversible f under enc, in
+    lexicographic order of the one-line permutation p (column j maps to row
+    p[j]).  Refuses ambient dimensions above 8.
 
-    Brute force over the permutations of the ambient basis, in lexicographic
-    order of the one-line permutation (column j maps to row p[j]).  Refuses
-    ambient dimensions above 8.
+    P = eye[:, p] realizes f when P A Pᵀ = B, that is B[p[a], p[b]] = A[a, b],
+    for the projector A onto each input's logical subspace with B that of its
+    image, and for A = B the projector onto the fixed complement.  A
+    depth-first search assigns p[0], p[1], ... in increasing value order and
+    drops a branch as soon as an entry among the assigned indices is off by
+    more than sqrt(2)·tol.  For a permutation, ‖P A Pᵀ − B‖_F is sqrt(2)
+    times the residual quantization_report computes, so the search drops no
+    permutation the report accepts; each complete one is confirmed with
+    is_quantization_of.
     """
     if not f.is_reversible:
         raise ValueError("enumeration is defined for reversible functions only")
-    dim = enc.ambient_dim**f.arity_in
+    n = f.arity_in
+    dim = enc.ambient_dim**n
     if dim > _ENUMERATION_DIM_CAP:
         raise ValueError(
             f"ambient dimension {dim} exceeds the brute-force cap of {_ENUMERATION_DIM_CAP}"
         )
+    # proj[a, b, x] is entry (a, b) of the projector onto the frame labels of
+    # group x: row x of the label table, or for x = 2**n the labels in no row
+    # (the fixed complement).
     eye = np.eye(dim, dtype=np.complex128)
+    w = _kron_apply([enc.frame] * n, eye)
+    blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
+    group = np.full(dim, len(blocks))
+    group[blocks] = np.arange(len(blocks))[:, None]
+    proj = (w[:, None, :] * w.conj()) @ (group[:, None] == np.arange(len(blocks) + 1))
+    image = proj[:, :, np.append(f.image, len(blocks))]
+    bound = np.sqrt(2) * _CHECK_TOL
     out = []
-    for perm in itertools.permutations(range(dim)):
-        p = eye[:, perm]
-        if is_quantization_of(p, f, enc, _CHECK_TOL):
-            out.append(p)
+
+    def extend(p: list[int]) -> None:
+        a = len(p)
+        if a == dim:
+            candidate = eye[:, p]
+            if is_quantization_of(candidate, f, enc, _CHECK_TOL):
+                out.append(candidate)
+            return
+        for v in range(dim):
+            if v not in p and (np.abs(image[v, p + [v]] - proj[a, : a + 1]) <= bound).all():
+                extend(p + [v])
+
+    extend([])
     return out
 
 

@@ -194,6 +194,13 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", fx("bell.circ"), "--input", "0")
         assert code == 1 and err
 
+    @pytest.mark.parametrize("circuit", ["bell.circ", "missing.circ"])
+    @pytest.mark.parametrize("bits", ["0x", "", "2", "0 1"])
+    def test_malformed_input_is_parse_error_before_any_file_is_read(self, capsys, circuit, bits):
+        code, out, err = run_cli(capsys, "run", fx(circuit), "--input", bits)
+        assert (code, out) == (2, "")
+        assert err == f"line 1, column 1: --input expects a string of 0s and 1s, got {bits!r}\n"
+
 
 class TestSchmidt:
     def test_bell_state(self, capsys):

@@ -323,6 +323,28 @@ class TestCircuitFormat:
         )
         assert doc.encoding.ambient_dim == 3
 
+    def test_each_gate_token_is_resolved_once(self, monkeypatch):
+        calls = {"quantize_reversible": 0, "principal_unitary_sqrt": 0}
+        for name in calls:
+            real = getattr(sy, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(sy, name, counted)
+        doc = qio.parse_circuit("encoding ququart\nwidth 2\n" + "SQRT_NOT 0\nSQRT_NOT 1\n" * 5)
+        assert calls == {"quantize_reversible": 1, "principal_unitary_sqrt": 1}
+        matrices = [s.matrix for s in doc.statements]
+        assert len(matrices) == 10 and all(m is matrices[0] for m in matrices)
+        assert not matrices[0].flags.writeable
+
+    def test_a_bad_gate_token_is_reported_at_each_statement(self):
+        with pytest.raises(qio.ParseError) as err:
+            qio.parse_circuit("encoding qubit\nwidth 2\nFROB 0\nH 1\nFROB 1\n")
+        assert [(d.line, d.column) for d in err.value.diagnostics] == [(3, 1), (5, 1)]
+        assert all("FROB" in d.message for d in err.value.diagnostics)
+
     def test_all_diagnostics_carry_lines(self):
         bad = "encoding qubit\nwidth 2\nFROB 0\nH 9\nCNOT 0 0\n"
         with pytest.raises(qio.ParseError) as err:

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlift import encodings as en
+from qlift import io as qio
 from qlift import linalg as la
 from qlift import synthesis as sy
 from helpers import random_bijection_table, random_unitary
@@ -349,7 +351,105 @@ class TestIsQuantizationOf:
             assert got.complement_residual == pytest.approx(ref.complement_residual * s, rel=1e-9, abs=0)
 
 
+def brute_force_permutation_quantizations(f, enc):
+    """The enumeration's reference: every permutation of the ambient basis,
+    in lexicographic order, each checked with is_quantization_of."""
+    dim = enc.ambient_dim**f.arity_in
+    eye = np.eye(dim, dtype=np.complex128)
+    perms = (eye[:, p] for p in itertools.permutations(range(dim)))
+    return [p for p in perms if sy.is_quantization_of(p, f, enc, 1e-9)]
+
+
+def assert_matches_brute_force(f, enc, count):
+    """The enumeration returns `count` matrices, array_equal in order to the
+    reference's."""
+    out = sy.enumerate_permutation_quantizations(f, enc)
+    ref = brute_force_permutation_quantizations(f, enc)
+    assert len(out) == len(ref) == count
+    assert all(np.array_equal(a, b) for a, b in zip(out, ref))
+    return out
+
+
+def _qutrit_rotated(u):
+    return en.Encoding("rotated", 3, [u[:, 0]], [u[:, 1]], [u[:, 2]])
+
+
+# Under the rotation (|0> ± i|2>)/sqrt(2) the swap of |0> and |2> is a NOT
+# (up to a phase on each logical vector) and not an identity.
+QUTRIT_COMPLEX = _qutrit_rotated(np.array([[1, 1, 0], [0, 0, np.sqrt(2)], [1j, -1j, 0]]) / np.sqrt(2))
+HADAMARD = en.Encoding("hadamard", 2, [np.array([1, 1]) / np.sqrt(2)], [np.array([1, -1]) / np.sqrt(2)])
+QUTRIT_RANDOM = _qutrit_rotated(random_unitary(np.random.default_rng(7), 3))
+ALIGNED = [QUBIT, QUTRIT, QUQUART, MATRIX2]
+QUTRIT_LIKE = qio._resolve_encoding("qutrit_like.enc", os.path.join(os.path.dirname(__file__), "fixtures"))
+INCREMENT3 = sy.ClassicalFunction._from_image(3, 3, [1, 2, 3, 4, 5, 6, 7, 0])
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
+    def test_two_bit_qubit_bijections_match_brute_force(self, perm):
+        f = sy.ClassicalFunction._from_image(2, 2, perm)
+        (out,) = assert_matches_brute_force(f, QUBIT, 1)
+        assert np.array_equal(out, np.eye(4)[:, list(perm)])
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
+    def test_two_bit_hadamard_bijections_match_brute_force(self, perm):
+        """Under the rotated frame (|0> ± |1>)/sqrt(2) the 24 permutations
+        split four each among the six linear bijections, those fixing 00."""
+        f = sy.ClassicalFunction._from_image(2, 2, perm)
+        assert_matches_brute_force(f, HADAMARD, 4 if perm[0] == 0 else 0)
+
+    @pytest.mark.parametrize(
+        "name,negations,identities",
+        [("qubit", 1, 1), ("qutrit", 1, 1), ("ququart", 4, 4), ("matrix2", 4, 4), ("pauli", 0, 8)],
+    )
+    def test_builtin_encodings_match_brute_force(self, name, negations, identities):
+        enc = en.builtin_encoding(name)
+        assert_matches_brute_force(NEGATION, enc, negations)
+        assert_matches_brute_force(sy.ClassicalFunction.identity(1), enc, identities)
+
+    @pytest.mark.parametrize(
+        "enc,negations,identities",
+        [
+            (QUTRIT_LIKE, 1, 1),
+            (QUTRIT_COMPLEX, 1, 1),
+            (QUTRIT_RANDOM, 0, 1),
+        ],
+        ids=["qutrit_like", "complex_rotation", "random_rotation"],
+    )
+    def test_custom_encodings_match_brute_force(self, enc, negations, identities):
+        assert_matches_brute_force(NEGATION, enc, negations)
+        assert_matches_brute_force(sy.ClassicalFunction.identity(1), enc, identities)
+
+    def test_complex_rotation_negation_is_the_outer_swap(self):
+        (out,) = sy.enumerate_permutation_quantizations(NEGATION, QUTRIT_COMPLEX)
+        assert np.array_equal(out, np.eye(3)[:, [2, 1, 0]])
+
+    @pytest.mark.parametrize("f", [INCREMENT3, sy.ClassicalFunction.identity(3)], ids=["increment", "identity"])
+    def test_three_bit_qubit_functions_give_their_permutation(self, f):
+        """8! = 40,320 orderings, of which the search completes one."""
+        out = sy.enumerate_permutation_quantizations(f, QUBIT)
+        assert len(out) == 1 and np.array_equal(out[0], np.eye(8)[:, f.image])
+
+    @pytest.mark.parametrize("enc", ALIGNED, ids=lambda e: e.name)
+    def test_aligned_encodings_confirm_only_the_results(self, monkeypatch, enc):
+        """Under an encoding whose frame is a permutation the projectors are
+        0/1, so every branch that reaches a complete assignment is a result."""
+        calls = []
+        real = sy.is_quantization_of
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sy, "is_quantization_of", counted)
+        functions = [NEGATION, sy.ClassicalFunction.identity(1)]
+        if enc is QUBIT:
+            functions += [CONDITIONAL_NOT, INCREMENT3]
+        for f in functions:
+            calls.clear()
+            out = sy.enumerate_permutation_quantizations(f, enc)
+            assert out and len(calls) == len(out)
+
     def test_qubit_negation_unique(self):
         out = sy.enumerate_permutation_quantizations(NEGATION, QUBIT)
         assert len(out) == 1 and np.array_equal(out[0], X)
@@ -386,7 +486,7 @@ class TestEnumeration:
 
     def test_dimension_cap(self):
         two_bits = sy.ClassicalFunction.identity(2)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="^ambient dimension 16 exceeds the brute-force cap of 8$"):
             sy.enumerate_permutation_quantizations(two_bits, QUQUART)
 
     def test_rejects_irreversible(self):
