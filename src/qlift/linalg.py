@@ -53,10 +53,6 @@ _GRAM_EXP = 200
 # point and mapped to +pi, so the square root of eigenvalue -1 is +i.
 _BRANCH_SNAP = 1e-12
 
-# Hermitian-part eigenvalues closer than this are diagonalized jointly with the
-# skew part; see _eig_unitary.
-_CLUSTER_GAP = 1e-6
-
 
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to converge within its iteration cap.
@@ -353,41 +349,15 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return uw, sigma, r
 
 
-def _eig_unitary(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a unitary via its commuting Hermitian parts.
-
-    eigh of (u+u†)/2 fixes the eigenspaces up to cos-degeneracy; clusters of
-    nearly equal cosines are split by diagonalizing the compressed skew part,
-    which separates eigenphase pairs of the form ±theta.
-    """
-    herm = (u + u.conj().T) / 2.0
-    skew = (u - u.conj().T) / 2.0j
-    cos_vals, q = np.linalg.eigh(herm)
-
-    start = 0
-    n = len(cos_vals)
-    for end in range(1, n + 1):
-        if end < n and cos_vals[end] - cos_vals[end - 1] <= _CLUSTER_GAP:
-            continue
-        if end - start > 1:
-            block = q[:, start:end]
-            sub = block.conj().T @ skew @ block
-            sub = (sub + sub.conj().T) / 2.0
-            _, rot = np.linalg.eigh(sub)
-            q[:, start:end] = block @ rot
-        start = end
-
-    lam = np.einsum("ij,ij->j", q.conj(), u @ q)
-    return lam / np.abs(lam), q
-
-
 def principal_unitary_sqrt(u, tol: float = 1e-9) -> np.ndarray:
     """Principal square root of a unitary matrix.
 
     Each eigenvalue e^{i theta} with theta in (-pi, pi] is mapped to
     e^{i theta/2}; in particular -1 maps to +i.  The result is unitary and
-    squares back to the input.  Raises ValueError if the input is not unitary
-    to within `tol`, or for a NaN or negative tol.
+    squares back to the input: to a few units of roundoff times the dimension
+    for a unitary input, even at clustered or repeated eigenphases, and to
+    about delta for an input off unitary by delta <= tol.  Raises ValueError
+    if the input is not unitary to within `tol`, or for a NaN or negative tol.
     """
     _check_tol(tol)
     a = as_array(u, 2)
@@ -395,11 +365,29 @@ def principal_unitary_sqrt(u, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("principal_unitary_sqrt requires a square matrix")
     if not is_unitary(a, tol):
         raise ValueError("principal_unitary_sqrt requires a unitary matrix")
-    lam, q = _eig_unitary(a)
-    theta = np.arctan2(lam.imag, lam.real)
+    # The eigenphases up to sign are the arccosines of the Hermitian part's
+    # eigenvalues.  Rotate u by e^{-i alpha} so that -1 sits mid-way along
+    # the widest arc between the 2n points +-t: that arc is at least pi/n
+    # wide, so ||(I + v)^-1|| <= 1 / (2 sin(pi/4n)) for v = e^{-i alpha} u.
+    # eigvalsh sorts ascending, so t descends and the points below ascend
+    # around the circle, ending with -t[0] + 2pi to close the last arc.
+    t = np.arccos(np.clip(np.linalg.eigvalsh((a + a.conj().T) / 2.0), -1.0, 1.0))
+    points = np.concatenate([-t, t[::-1], [2.0 * np.pi - t[0]]])
+    k = int(np.argmax(np.diff(points)))
+    alpha = (points[k] + points[k + 1]) / 2.0 + np.pi
+    # The Cayley transform i(I - v)(I + v)^-1 = 2iM - iI, M = (I + v)^-1, has
+    # eigenvalues tan(psi/2) for the eigenphases psi of v.  That map is
+    # strictly increasing on (-pi, pi), so eigh of its Hermitian part
+    # i(M - M^dagger) separates every distinct eigenphase.
+    b = np.exp(-1j * alpha) * a
+    b.reshape(-1)[:: len(b) + 1] += 1.0
+    m = np.linalg.inv(b)
+    h = m - m.conj().T
+    h *= 1j
+    mu, q = np.linalg.eigh(h)
+    theta = np.mod(alpha + 2.0 * np.arctan(mu) + np.pi, 2.0 * np.pi) - np.pi
     theta[theta <= -np.pi + _BRANCH_SNAP] = np.pi
-    half = np.exp(0.5j * theta)
-    return (q * half) @ q.conj().T
+    return (q * np.exp(0.5j * theta)) @ q.conj().T
 
 
 def res(m) -> np.ndarray:

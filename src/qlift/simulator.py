@@ -92,9 +92,9 @@ def _resolve(step: CircuitStep, enc: Encoding) -> np.ndarray:
 class Circuit:
     """Steps on `width` subsystems of an encoding.  Building it resolves and
     checks every step (targets, dimension, unitarity): a bad step raises
-    ValueError here.  A named gate is resolved and checked for unitarity once
-    per distinct (name, phi), however many steps use it.  Circuits compare by
-    encoding, width and steps."""
+    ValueError here.  A gate is resolved and checked for unitarity once per
+    distinct (name, phi) or array object, however many steps use it.
+    Circuits compare by encoding, width and steps."""
 
     encoding: Encoding
     width: int
@@ -107,11 +107,13 @@ class Circuit:
         if self.width < 1:
             raise ValueError("circuit width must be positive")
         object.__setattr__(self, "steps", tuple(self.steps))
-        named: dict[tuple[str, float | None], np.ndarray] = {}
+        # Keyed by (name, phi), or by id() of an array gate: self.steps holds
+        # every array for the whole loop, so no id is reused.
+        seen: dict[tuple[str, float | None] | int, np.ndarray] = {}
         checked = []
         for step in self.steps:
-            key = (step.gate, step.phi) if isinstance(step.gate, str) else None
-            gm = named.get(key)
+            key = (step.gate, step.phi) if isinstance(step.gate, str) else id(step.gate)
+            gm = seen.get(key)
             fresh = gm is None
             gm, targets = _check_step(
                 _resolve(step, self.encoding) if fresh else gm,
@@ -124,8 +126,7 @@ class Circuit:
                     raise ValueError("gate matrix is not unitary")
                 gm = gm.copy()
                 gm.setflags(write=False)
-                if key is not None:
-                    named[key] = gm
+                seen[key] = gm
             checked.append((gm, targets))
         object.__setattr__(self, "_checked", tuple(checked))
 

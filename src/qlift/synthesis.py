@@ -354,7 +354,7 @@ def enumerate_permutation_quantizations(
     dim = enc.ambient_dim**n
     if dim > _ENUMERATION_DIM_CAP:
         raise ValueError(
-            f"ambient dimension {dim} exceeds the brute-force cap of {_ENUMERATION_DIM_CAP}"
+            f"ambient dimension {dim} exceeds the enumeration cap of {_ENUMERATION_DIM_CAP}"
         )
     # proj[a, b, x] is entry (a, b) of the projector onto the frame labels of
     # group x: row x of the label table, or for x = 2**n the labels in no row

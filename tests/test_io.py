@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlift import io as qio
+from qlift import simulator as sim
 from qlift import synthesis as sy
 from helpers import random_complex
 
@@ -338,6 +339,16 @@ class TestCircuitFormat:
         matrices = [s.matrix for s in doc.statements]
         assert len(matrices) == 10 and all(m is matrices[0] for m in matrices)
         assert not matrices[0].flags.writeable
+
+    def test_shared_gate_matrix_checked_once(self, monkeypatch):
+        """Ten statements share one matrix: the circuit checks and copies it
+        once."""
+        calls = []
+        real = sim.is_unitary
+        monkeypatch.setattr(sim, "is_unitary", lambda *args: calls.append(1) or real(*args))
+        circ = qio.parse_circuit("encoding ququart\nwidth 2\n" + "SQRT_NOT 0\n" * 10).to_circuit()
+        assert len(calls) == 1
+        assert all(gm is circ._checked[0][0] for gm, _ in circ._checked)
 
     def test_a_bad_gate_token_is_reported_at_each_statement(self):
         with pytest.raises(qio.ParseError) as err:

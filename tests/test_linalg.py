@@ -352,14 +352,57 @@ class TestPrincipalSqrt:
             assert la.is_unitary(w, 1e-9)
 
     def test_conjugate_eigenphase_pairs(self):
-        """Eigenphases theta and -theta share a cosine; the skew part must
-        split them."""
+        """Eigenphases theta and -theta share a cosine, so the Hermitian
+        part alone cannot split them."""
         rng = np.random.default_rng(17)
         for theta in [0.4, 1e-4, np.pi - 1e-5, np.pi / 2]:
             q = random_unitary(rng, 2)
             u = q @ np.diag([np.exp(1j * theta), np.exp(-1j * theta)]) @ q.conj().T
             w = la.principal_unitary_sqrt(u)
             assert np.linalg.norm(w @ w - u) <= 1e-9
+
+    def test_close_phases_near_half_pi(self):
+        """Two eigenphases 5e-8 apart at pi/2, where the sine is flat."""
+        q = np.fft.fft(np.eye(8)) / np.sqrt(8)
+        theta = np.linspace(-2.5, 2.9, 8)
+        theta[:2] = np.pi / 2, np.pi / 2 + 5e-8
+        u = (q * np.exp(1j * theta)) @ q.conj().T
+        w = la.principal_unitary_sqrt(u)
+        assert np.linalg.norm(w @ w - u) <= 1e-12
+
+    @given(
+        st.integers(2, 8),
+        st.sampled_from([np.pi / 2, -np.pi / 2, 0.0, 1.0, 2.5, np.pi - 1e-3])
+        | st.floats(-np.pi + 1e-3, np.pi - 1e-3),
+        st.floats(-10, -5),
+        st.booleans(),
+        seeds,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_clustered_eigenphases(self, n, base, gap_exp, partner, seed):
+        """A second eigenphase 1e-10..1e-5 above base, sometimes with a
+        -base partner: the root matches Q e^{i theta/2} Q^dagger."""
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-np.pi + 0.01, np.pi - 0.01, n)
+        theta[:2] = base, base + 10.0**gap_exp
+        if partner and n > 2:
+            theta[2] = -base
+        q = random_unitary(rng, n)
+        u = (q * np.exp(1j * theta)) @ q.conj().T
+        w = la.principal_unitary_sqrt(u)
+        assert np.linalg.norm(w - (q * np.exp(0.5j * theta)) @ q.conj().T) <= 1e-11
+        assert np.linalg.norm(w @ w - u) <= 1e-12
+
+    def test_near_unitary_squares_back(self):
+        """An input 5e-10 off unitary, inside the default tol, squares back
+        to within a few times that."""
+        rng = np.random.default_rng(5)
+        u = random_unitary(rng, 16)
+        e = random_complex(rng, (16, 16))
+        u = u + 5e-10 * e / np.linalg.norm(e)
+        assert 1e-10 < la._unitarity_residual(u) <= 1e-9
+        w = la.principal_unitary_sqrt(u)
+        assert np.linalg.norm(w @ w - u) <= 2e-9
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):

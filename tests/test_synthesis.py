@@ -486,7 +486,7 @@ class TestEnumeration:
 
     def test_dimension_cap(self):
         two_bits = sy.ClassicalFunction.identity(2)
-        with pytest.raises(ValueError, match="^ambient dimension 16 exceeds the brute-force cap of 8$"):
+        with pytest.raises(ValueError, match="^ambient dimension 16 exceeds the enumeration cap of 8$"):
             sy.enumerate_permutation_quantizations(two_bits, QUQUART)
 
     def test_rejects_irreversible(self):
