@@ -150,7 +150,7 @@ def _unitarity_residual(a: np.ndarray) -> float:
     k = max(e - _GRAM_EXP, 0)
     b = a * math.ldexp(1.0, -k) if k else a
     gram = b.conj().T @ b
-    gram.reshape(-1)[:: len(b) + 1] -= math.ldexp(1.0, -2 * k)
+    gram[np.diag_indices(len(b))] -= math.ldexp(1.0, -2 * k)
     return _ldexp(float(np.linalg.norm(gram)), 2 * k)
 
 
@@ -380,7 +380,7 @@ def principal_unitary_sqrt(u, tol: float = 1e-9) -> np.ndarray:
     # strictly increasing on (-pi, pi), so eigh of its Hermitian part
     # i(M - M^dagger) separates every distinct eigenphase.
     b = np.exp(-1j * alpha) * a
-    b.reshape(-1)[:: len(b) + 1] += 1.0
+    b[np.diag_indices(len(b))] += 1.0
     m = np.linalg.inv(b)
     h = m - m.conj().T
     h *= 1j

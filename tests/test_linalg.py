@@ -404,6 +404,17 @@ class TestPrincipalSqrt:
         w = la.principal_unitary_sqrt(u)
         assert np.linalg.norm(w @ w - u) <= 2e-9
 
+    def test_column_major_input(self):
+        """A Fortran-ordered or transposed input gives the same root as its
+        row-major copy."""
+        rng = np.random.default_rng(23)
+        for u in [X, random_unitary(rng, 5)]:
+            for v in [np.asfortranarray(u), u.T]:
+                expected = la.principal_unitary_sqrt(np.ascontiguousarray(v))
+                got = la.principal_unitary_sqrt(v)
+                assert np.linalg.norm(got - expected) <= 1e-13
+                assert np.linalg.norm(got @ got - v) <= 1e-13
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             la.principal_unitary_sqrt(np.array([[1, 1], [0, 1]]))
