@@ -14,7 +14,7 @@ import sys
 from . import io as qio
 from .encodings import _is_bits
 from .entanglement import _separability, schmidt
-from .linalg import ConvergenceError, principal_unitary_sqrt
+from .linalg import _GATE_TOL, ConvergenceError, principal_unitary_sqrt
 from .simulator import basis_probabilities, run_circuit
 from .synthesis import (
     NAMED_GATES,
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="matrix file")
     p.add_argument("table", help="truth table file")
     p.add_argument("--encoding", default="qubit")
-    p.add_argument("--tol", default="1e-9")
+    p.add_argument("--tol", default=str(_GATE_TOL))
     p.set_defaults(func=cmd_verify)
 
     return parser

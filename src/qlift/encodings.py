@@ -34,21 +34,16 @@ __all__ = [
 _ORTHO_TOL = 1e-12
 
 
-def _as_basis(vectors, dim: int) -> np.ndarray:
-    """Stack basis vectors as columns of a read-only (dim, k) array."""
+def _as_basis(vectors, dim: int) -> list[np.ndarray]:
+    """The basis vectors, each a complex vector of length dim: the columns of
+    a matrix, or else the items of a sequence."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = [vectors[:, j] for j in range(vectors.shape[1])]
-    else:
-        cols = list(vectors)
-    if not cols:
-        out = np.zeros((dim, 0), dtype=np.complex128)
-        out.setflags(write=False)
-        return out
-    out = np.column_stack([as_array(c, 1) for c in cols])
-    if out.shape[0] != dim:
-        raise ValueError(f"basis vectors have dimension {out.shape[0]}, expected {dim}")
-    out.setflags(write=False)
-    return out
+        vectors = vectors.T
+    cols = [as_array(c, 1) for c in vectors]
+    for c in cols:
+        if c.size != dim:
+            raise ValueError(f"basis vectors have dimension {c.size}, expected {dim}")
+    return cols
 
 
 def _is_bits(bits, length: int | None = None) -> bool:
@@ -92,7 +87,8 @@ class Encoding:
     logical subspaces must have equal dimension (otherwise no unitary NOT
     can exist).
 
-    frame is that unitary [basis0 | basis1 | fixed].
+    frame is that unitary [basis0 | basis1 | fixed], stored once and
+    read-only; basis0, basis1 and fixed are views of its columns.
     """
 
     name: str
@@ -105,12 +101,7 @@ class Encoding:
     def __eq__(self, other):
         if not isinstance(other, Encoding):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and np.array_equal(self.basis0, other.basis0)
-            and np.array_equal(self.basis1, other.basis1)
-            and np.array_equal(self.fixed, other.fixed)
-        )
+        return self.bit_dim == other.bit_dim and np.array_equal(self.frame, other.frame)
 
     def __hash__(self):
         return hash((self.ambient_dim, self.bit_dim, self.fixed.shape[1]))
@@ -119,28 +110,27 @@ class Encoding:
         d = self.ambient_dim
         if d < 2:
             raise ValueError("ambient dimension must be at least 2")
-        object.__setattr__(self, "basis0", _as_basis(self.basis0, d))
-        object.__setattr__(self, "basis1", _as_basis(self.basis1, d))
-        fixed = self.fixed if self.fixed is not None else np.zeros((d, 0))
-        object.__setattr__(self, "fixed", _as_basis(fixed, d))
-        if self.basis0.shape[1] != self.basis1.shape[1]:
+        bases = (self.basis0, self.basis1, [] if self.fixed is None else self.fixed)
+        cols0, cols1, cols_fixed = (_as_basis(b, d) for b in bases)
+        k = len(cols0)
+        if k != len(cols1):
             raise ValueError(
-                "logical subspaces must have equal dimension "
-                f"({self.basis0.shape[1]} vs {self.basis1.shape[1]}); "
-                "no unitary NOT exists otherwise"
+                f"logical subspaces must have equal dimension ({k} vs {len(cols1)}); no unitary NOT exists otherwise"
             )
-        if self.basis0.shape[1] == 0:
+        if k == 0:
             raise ValueError("logical subspaces must be at least one-dimensional")
-        frame = np.hstack([self.basis0, self.basis1, self.fixed])
-        if frame.shape[1] != d:
+        if 2 * k + len(cols_fixed) != d:
             raise ValueError(
-                f"subspace dimensions {self.basis0.shape[1]}+{self.basis1.shape[1]}"
-                f"+{self.fixed.shape[1]} do not add up to the ambient dimension {d}"
+                f"subspace dimensions {k}+{k}+{len(cols_fixed)} do not add up to the ambient dimension {d}"
             )
+        frame = np.column_stack(cols0 + cols1 + cols_fixed)
         if not _unitarity_residual(frame) <= _ORTHO_TOL:
             raise ValueError("encoding basis vectors are not orthonormal")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "basis0", frame[:, :k])
+        object.__setattr__(self, "basis1", frame[:, k : 2 * k])
+        object.__setattr__(self, "fixed", frame[:, 2 * k :])
 
     @property
     def bit_dim(self) -> int:
@@ -211,33 +201,37 @@ class StateClassification:
 _S = 1 / np.sqrt(2)
 _QUQUART = ([[1, 0, 0, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]])
 
-# name -> (basis0, basis1[, fixed]) as lists of basis vectors.
-_BUILTIN_BASES = {
-    "qubit": ([[1, 0]], [[0, 1]]),
-    "qutrit": ([[1, 0, 0]], [[0, 0, 1]], [[0, 1, 0]]),
-    "ququart": _QUQUART,
-    # Row-major flattening of the matrix-unit spans {E11, E22} and {E12, E21}.
-    "matrix2": _QUQUART,
-    # Flattened spans {I, X} for 0 and {Y, Z} for 1, scaled to unit
-    # Hilbert-Schmidt norm.
-    "pauli": (
-        [[_S, 0, 0, _S], [0, _S, _S, 0]],
-        [[0, -1j * _S, 1j * _S, 0], [_S, 0, 0, -_S]],
-    ),
+# name -> Encoding, built once from (basis0, basis1[, fixed]) as lists of basis
+# vectors; safe to share, as an Encoding is frozen and its arrays read-only.
+_BUILTINS = {
+    name: Encoding(name, len(bases[0][0]), *bases)
+    for name, bases in {
+        "qubit": ([[1, 0]], [[0, 1]]),
+        "qutrit": ([[1, 0, 0]], [[0, 0, 1]], [[0, 1, 0]]),
+        "ququart": _QUQUART,
+        # Row-major flattening of the matrix-unit spans {E11, E22} and {E12, E21}.
+        "matrix2": _QUQUART,
+        # Flattened spans {I, X} for 0 and {Y, Z} for 1, scaled to unit
+        # Hilbert-Schmidt norm.
+        "pauli": (
+            [[_S, 0, 0, _S], [0, _S, _S, 0]],
+            [[0, -1j * _S, 1j * _S, 0], [_S, 0, 0, -_S]],
+        ),
+    }.items()
 }
 
-BUILTIN_ENCODINGS = tuple(_BUILTIN_BASES)
+BUILTIN_ENCODINGS = tuple(_BUILTINS)
 
 
 def builtin_encoding(name: str) -> Encoding:
-    """Return one of the built-in encodings by name."""
+    """Return one of the built-in encodings by name: the same shared,
+    immutable value on every call."""
     try:
-        bases = _BUILTIN_BASES[name]
+        return _BUILTINS[name]
     except KeyError:
         raise ValueError(
             f"unknown encoding {name!r}; expected one of {', '.join(BUILTIN_ENCODINGS)}"
         ) from None
-    return Encoding(name, len(bases[0][0]), *bases)
 
 
 def encode_bits(enc: Encoding, bits: str) -> QuantumState:
@@ -247,9 +241,7 @@ def encode_bits(enc: Encoding, bits: str) -> QuantumState:
     first bit is the most significant factor.
     """
     _check_bits(bits)
-    amps = enc.basis(bits[0])[:, 0]
-    for b in bits[1:]:
-        amps = kron(amps, enc.basis(b)[:, 0])
+    amps = functools.reduce(kron, [enc.basis(b)[:, 0] for b in bits])
     return QuantumState(amps, enc, len(bits))
 
 
@@ -260,10 +252,7 @@ def logical_subspace(enc: Encoding, bits: str) -> np.ndarray:
     lexicographically in the per-bit basis indices.
     """
     _check_bits(bits)
-    cols = enc.basis(bits[0])
-    for b in bits[1:]:
-        cols = kron(cols, enc.basis(b))
-    return cols
+    return functools.reduce(kron, [enc.basis(b) for b in bits])
 
 
 def fixed_complement(enc: Encoding, n: int) -> np.ndarray:
@@ -276,9 +265,7 @@ def fixed_complement(enc: Encoding, n: int) -> np.ndarray:
     d = enc.ambient_dim
     if enc.fixed.shape[1] == 0:
         return np.zeros((d**n, 0), dtype=np.complex128)
-    power = enc.frame
-    for _ in range(n - 1):
-        power = kron(power, enc.frame)
+    power = functools.reduce(kron, [enc.frame] * n)
     labels = np.indices((d,) * n).reshape(n, -1)
     return power[:, (labels >= 2 * enc.bit_dim).any(axis=0)]
 

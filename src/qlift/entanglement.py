@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import QuantumState
-from .linalg import _count, _norm, _unit, as_array, svd, unres
+from .linalg import _dims, _norm, _unit, as_array, svd, unres
 
 __all__ = [
     "SchmidtResult",
@@ -65,9 +65,7 @@ class Separability(enum.Enum):
 def coefficient_matrix(s, dim_a: int, dim_b: int) -> np.ndarray:
     """Amplitudes arranged as a dim_a x dim_b matrix (row-major reshape)."""
     amps = _amplitudes(s)
-    dim_a, dim_b = _count(dim_a, "subsystem dimension"), _count(dim_b, "subsystem dimension")
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError(f"subsystem dimensions must be positive, got {dim_a} x {dim_b}")
+    dim_a, dim_b = _dims(dim_a, dim_b, "subsystem dimension")
     if amps.size != dim_a * dim_b:
         raise ValueError(
             f"state dimension {amps.size} does not factor as {dim_a} x {dim_b}"

@@ -111,6 +111,14 @@ def parse_complex(token: str) -> complex:
     return complex(float(m["re"] or 0.0), im_val)
 
 
+def _parse_entry(token: str) -> complex:
+    """parse_complex, and a ValueError for a value beyond the double range."""
+    z = parse_complex(token)
+    if not np.isfinite(z):
+        raise ValueError(f"entry {token!r} lies beyond the double range")
+    return z
+
+
 def _parse_int(token: str, what: str = "value") -> int:
     """Parse an integer, [+-]?[0-9]+; anything else is a ValueError."""
     if _INT_RE.fullmatch(token) is None:
@@ -184,7 +192,7 @@ def _parse_rows(text: str) -> list[list[complex]]:
     rows: list[list[complex]] = []
     diagnostics: list[Diagnostic] = []
     for ln, content in _lines(text, "no matrix data found"):
-        row = _entries(ln, _tokens(content), parse_complex, diagnostics)
+        row = _entries(ln, _tokens(content), _parse_entry, diagnostics)
         if not diagnostics and rows and len(row) != len(rows[0]):
             diagnostics.append(
                 Diagnostic(ln, 1, f"row has {len(row)} entries, expected {len(rows[0])}")
@@ -270,7 +278,7 @@ def parse_encoding_file(text: str, name: str = "custom") -> Encoding:
         if current is None:
             diagnostics.append(Diagnostic(ln, 1, "expected a section marker '0:', '1:' or 'fixed:'"))
             continue
-        vec = _entries(ln, _tokens(content), parse_complex, diagnostics)
+        vec = _entries(ln, _tokens(content), _parse_entry, diagnostics)
         if vec is not None and len(vec) != dim:
             diagnostics.append(Diagnostic(ln, 1, f"basis vector has {len(vec)} entries, expected {dim}"))
         elif vec is not None:

@@ -49,6 +49,10 @@ _JACOBI_FLOOR = np.finfo(np.float64).tiny / _JACOBI_TOL
 # of its entries inside the double range; see _unitarity_residual.
 _GRAM_EXP = 200
 
+# The one gate tolerance: a matrix is unitary enough to be a gate (in
+# synthesis, circuits, roots and enumeration) when ||m^dagger m - I||_F <= it.
+_GATE_TOL = 1e-9
+
 # Eigenphases within this distance of -pi are treated as lying on the branch
 # point and mapped to +pi, so the square root of eigenvalue -1 is +i.
 _BRANCH_SNAP = 1e-12
@@ -108,6 +112,14 @@ def _count(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _dims(a, b, what: str) -> tuple[int, int]:
+    """(a, b) through _count, or ValueError unless both are positive."""
+    a, b = _count(a, what), _count(b, what)
+    if a < 1 or b < 1:
+        raise ValueError(f"{what}s must be positive, got {a} x {b}")
+    return a, b
 
 
 def _prescale(x: np.ndarray, extreme_only: bool = False) -> tuple[np.ndarray, int]:
@@ -349,7 +361,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return uw, sigma, r
 
 
-def principal_unitary_sqrt(u, tol: float = 1e-9) -> np.ndarray:
+def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
     """Principal square root of a unitary matrix.
 
     Each eigenvalue e^{i theta} with theta in (-pi, pi] is mapped to
@@ -396,8 +408,10 @@ def res(m) -> np.ndarray:
 
 
 def unres(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of res: reshape a vector of length rows*cols into a matrix."""
+    """Inverse of res: reshape a vector of length rows*cols into a matrix.
+    Raises ValueError unless rows and cols are positive integers."""
     a = as_array(v, 1)
+    rows, cols = _dims(rows, cols, "matrix dimension")
     if a.size != rows * cols:
         raise ValueError(f"cannot reshape a vector of length {a.size} to {rows}x{cols}")
     return a.reshape(rows, cols)
@@ -431,8 +445,10 @@ def tensor_to_matrix(t) -> np.ndarray:
 
 def matrix_to_tensor(g, rows: int, cols: int) -> np.ndarray:
     """Gate tensor, of shape (cols, rows, len(g)), whose trace action on a
-    rows x cols state x reproduces y = g @ res(x)."""
+    rows x cols state x reproduces y = g @ res(x).  Raises ValueError unless
+    rows and cols are positive integers."""
     gm = as_array(g, 2)
+    rows, cols = _dims(rows, cols, "matrix dimension")
     if gm.shape[1] != rows * cols:
         raise ValueError(f"matrix with {gm.shape[1]} columns cannot act on {rows}x{cols} states")
     return gm.reshape(gm.shape[0], rows, cols).transpose(2, 1, 0).copy()
@@ -441,11 +457,11 @@ def matrix_to_tensor(g, rows: int, cols: int) -> np.ndarray:
 def equal_up_to_phase(a, b, tol: float) -> complex | None:
     """Return the phase e^{i phi} with ||a - e^{i phi} b|| <= tol*||b||, if any.
 
-    The candidate phase is read off the largest-modulus entry of b (first one
-    in row-major order on ties); None if no unimodular phase works.  a and b
-    are scaled by one power of two first and the norms are scale-safe, so the
-    answer holds across the whole double range.  Raises ValueError for a NaN
-    or negative tol.
+    The phase tried is v/|v| for v = <b, a> (np.vdot), the unimodular phase
+    that minimizes ||a - e^{i phi} b||, or 1 when v = 0; None if it fails,
+    as then every phase does.  a and b are scaled by one power of two first
+    and the norms are scale-safe, so the answer holds across the whole double
+    range.  Raises ValueError for a NaN or negative tol.
     """
     _check_tol(tol)
     am = as_array(a, 2)
@@ -453,18 +469,9 @@ def equal_up_to_phase(a, b, tol: float) -> complex | None:
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch: {am.shape} vs {bm.shape}")
     (am, bm), _ = _prescale(np.stack([am, bm]))
-    flat_b = bm.reshape(-1)
-    k = int(np.argmax(np.abs(flat_b)))
-    a_k, b_k = complex(am.reshape(-1)[k]), complex(flat_b[k])
-    b_norm = _norm(bm)
-    if b_k == 0.0:
-        return 1.0 + 0.0j if _norm(am) <= tol * b_norm else None
-    if a_k == 0.0:
-        return None
-    phase = a_k / abs(a_k) * (b_k / abs(b_k)).conjugate()
-    if _norm(am - phase * bm) <= tol * b_norm:
-        return phase
-    return None
+    v = complex(np.vdot(bm, am))
+    phase = v / abs(v) if v else 1.0 + 0.0j
+    return phase if _norm(am - phase * bm) <= tol * _norm(bm) else None
 
 
 def is_unitary(m, tol: float) -> bool:

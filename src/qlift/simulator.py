@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, QuantumState, encode_bits
-from .linalg import _count, as_array, is_unitary, tensor_to_matrix
+from .linalg import _GATE_TOL, _count, as_array, is_unitary, tensor_to_matrix
 from .synthesis import named_gate
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "run_circuit",
     "basis_probabilities",
 ]
-
-_GATE_UNITARY_TOL = 1e-9
 
 # Widest allowed circuit: d**width may not exceed 2**20 amplitudes.
 MAX_AMBIENT_DIM = 2**20
@@ -122,7 +120,7 @@ class Circuit:
                 self.width,
             )
             if fresh:
-                if not is_unitary(gm, _GATE_UNITARY_TOL):
+                if not is_unitary(gm, _GATE_TOL):
                     raise ValueError("gate matrix is not unitary")
                 gm = gm.copy()
                 gm.setflags(write=False)

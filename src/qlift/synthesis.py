@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _label_blocks
-from .linalg import _check_tol, _ldexp, _prescale, _unitarity_residual, as_array
+from .linalg import _GATE_TOL, _check_tol, _ldexp, _prescale, _unitarity_residual, as_array
 from .linalg import _kron_apply, is_unitary, principal_unitary_sqrt
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "NAMED_GATES",
 ]
 
-_UNITARY_TOL = 1e-10
-_CHECK_TOL = 1e-9
 _ENUMERATION_DIM_CAP = 8
 _MISSING_LISTED = 16
 _MAX_ARITY = 62
@@ -162,7 +160,7 @@ class SynthesizedGate:
         m = as_array(self.matrix, 2).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if not is_unitary(m, _UNITARY_TOL):
+        if not is_unitary(m, _GATE_TOL):
             raise ValueError("synthesized gate is not unitary")
 
 
@@ -217,7 +215,7 @@ def _controlled_block(u) -> np.ndarray:
 def controlled(u) -> np.ndarray:
     """Block matrix diag(I2, u) for a 2x2 unitary u."""
     out = _controlled_block(u)
-    if not is_unitary(out[2:, 2:], _UNITARY_TOL):
+    if not is_unitary(out[2:, 2:], _GATE_TOL):
         raise ValueError("controlled() expects a unitary matrix")
     return out
 
@@ -366,14 +364,14 @@ def enumerate_permutation_quantizations(
     group[blocks] = np.arange(len(blocks))[:, None]
     proj = (w[:, None, :] * w.conj()) @ (group[:, None] == np.arange(len(blocks) + 1))
     image = proj[:, :, np.append(f.image, len(blocks))]
-    bound = np.sqrt(2) * _CHECK_TOL
+    bound = np.sqrt(2) * _GATE_TOL
     out = []
 
     def extend(p: list[int]) -> None:
         a = len(p)
         if a == dim:
             candidate = eye[:, p]
-            if is_quantization_of(candidate, f, enc, _CHECK_TOL):
+            if is_quantization_of(candidate, f, enc, _GATE_TOL):
                 out.append(candidate)
             return
         for v in range(dim):

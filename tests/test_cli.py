@@ -89,6 +89,11 @@ class TestSqrt:
         code, out, _ = run_cli(capsys, "sqrt", fx("x.mat"))
         assert code == 0
 
+    def test_entry_beyond_double_range_is_parse_error(self, capsys, tmp_path):
+        (tmp_path / "big.mat").write_text("1 0\n0 1e400\n")
+        code, out, err = run_cli(capsys, "sqrt", str(tmp_path / "big.mat"))
+        assert (code, out, err) == (2, "", "line 2, column 3: entry '1e400' lies beyond the double range\n")
+
     def test_non_unitary_is_domain_error(self, capsys, tmp_path):
         shear = tmp_path / "shear.mat"
         shear.write_text("1 1\n0 1\n")
@@ -183,6 +188,15 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(circ), "--input", "00")
         assert (code, out, err) == (1, "", "error: gate matrix is not unitary\n")
 
+    def test_controlled_gate_within_the_gate_tolerance_runs(self, capsys, tmp_path):
+        """1.00000000025 X is off unitary by 7.1e-10, inside the gate
+        tolerance, which controlled() and circuit files share."""
+        (tmp_path / "u.mat").write_text("0 1.00000000025\n1.00000000025 0\n")
+        circ = tmp_path / "cu.circ"
+        circ.write_text("encoding qubit\nwidth 2\nC(u.mat) 0 1\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "10")
+        assert code == 0 and not err and "3 11 1.00000000025+0.0i" in out
+
     def test_bad_target_is_parse_error_at_gate(self, capsys, tmp_path):
         circ = tmp_path / "range.circ"
         circ.write_text("encoding qubit\nwidth 2\nCNOT 0 2\n")
@@ -213,6 +227,11 @@ class TestSchmidt:
         assert np.allclose(coeffs, [1 / np.sqrt(2)] * 2, atol=1e-10)
         assert lines["rank"].strip() == "2"
         assert lines["classification"].strip() == "entangled"
+
+    def test_entry_beyond_double_range_is_parse_error(self, capsys, tmp_path):
+        (tmp_path / "big.vec").write_text("1\n1e400\n0\n0\n")
+        code, out, err = run_cli(capsys, "schmidt", str(tmp_path / "big.vec"), "--dims", "2,2")
+        assert (code, out, err) == (2, "", "line 2, column 1: entry '1e400' lies beyond the double range\n")
 
     def test_bad_dims_is_parse_error(self, capsys):
         code, _, err = run_cli(

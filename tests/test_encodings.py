@@ -74,6 +74,24 @@ class TestBuiltinEncodings:
         p = en.builtin_encoding("pauli")
         assert p.ambient_dim == 4 and p.bit_dim == 2 and p.fixed.shape[1] == 0
 
+    def test_built_once_and_shared(self, encoding):
+        """One immutable value per name: the bases are read-only views of the
+        one read-only frame."""
+        assert en.builtin_encoding(encoding.name) is encoding
+        assert not encoding.frame.flags.writeable
+        for part in (encoding.basis0, encoding.basis1, encoding.fixed):
+            assert part.base is encoding.frame and not part.flags.writeable
+        with pytest.raises(ValueError):
+            encoding.basis0[0, 0] = 2.0
+
+    def test_matrix_of_columns_equals_list_of_vectors(self, encoding):
+        """The built-ins come from lists of vectors; their bases as matrices
+        of columns give an equal encoding."""
+        bases = (encoding.basis0.copy(), encoding.basis1.copy(), encoding.fixed.copy())
+        again = en.Encoding("again", encoding.ambient_dim, *bases)
+        assert again == encoding and hash(again) == hash(encoding)
+        assert np.array_equal(again.frame, encoding.frame)
+
     def test_hash_consistent_with_equality(self):
         assert len({en.builtin_encoding("qubit"), en.builtin_encoding("qubit")}) == 1
         m2, q4 = en.builtin_encoding("matrix2"), en.builtin_encoding("ququart")

@@ -97,6 +97,14 @@ class TestMatrixFormat:
         with pytest.raises(qio.ParseError):
             qio.parse_matrix("# nothing here\n")
 
+    @pytest.mark.parametrize("parse", [qio.parse_matrix, qio.parse_state])
+    def test_entry_beyond_double_range_diagnosed_at_its_position(self, parse):
+        """parse_complex reads 1e400 as inf, as complex() does; a file entry
+        that large is a diagnostic at its own line and column."""
+        with pytest.raises(qio.ParseError) as err:
+            parse("1 0\n0 -1e400i\n")
+        assert err.value.diagnostics == (qio.Diagnostic(2, 3, "entry '-1e400i' lies beyond the double range"),)
+
     def test_state_flattening(self):
         vec = qio.parse_state(fixture("bell_state.vec"))
         assert vec.shape == (4,)
@@ -156,6 +164,11 @@ class TestEncodingFile:
     def test_header_required(self):
         with pytest.raises(qio.ParseError, match="dim"):
             qio.parse_encoding_file("0:\n1 0\n1:\n0 1\n")
+
+    def test_entry_beyond_double_range_diagnosed_at_its_position(self):
+        with pytest.raises(qio.ParseError) as err:
+            qio.parse_encoding_file("dim 2\n0:\n1 0\n1:\n0 1e400\n")
+        assert err.value.diagnostics[0] == qio.Diagnostic(5, 3, "entry '1e400' lies beyond the double range")
 
 
 class TestIntegerSyntax:

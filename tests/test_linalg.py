@@ -1,11 +1,12 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qlift import linalg as la
@@ -321,6 +322,24 @@ class TestSvdProperties:
         assert err.value.off_diagonal == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [8, 32])
+def test_svd_relative_accuracy_on_two_sided_graded_input(n, seed):
+    """Why the Jacobi SVD stays: on D1 B D2, with B standard normal, rows
+    graded 1 ... 1e-14 and the same grades permuted on the columns, every
+    singular value is accurate to 1e-11 relative to a 40-digit reference.
+    LAPACK's bidiagonalizing SVD (np.linalg.svd) loses most of the digits of
+    the small ones on such input."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    grades = np.logspace(0, -14, n)
+    a = grades[:, None] * rng.standard_normal((n, n)) * rng.permutation(grades)
+    with mpmath.workdps(40):
+        ref = sorted((float(x) for x in mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)), reverse=True)
+    _, s, _ = la.svd(a)
+    assert np.all(np.abs(s - ref) <= 1e-11 * np.array(ref))
+
+
 class TestPrincipalSqrt:
     def test_flip_gate(self):
         """Root of the bit flip: all entries (1 +/- i)/2."""
@@ -449,6 +468,24 @@ class TestResUnres:
         with pytest.raises(ValueError):
             la.unres(np.array([1, 2, 3]), 2, 2)
 
+    @pytest.mark.parametrize(
+        "reshape",
+        [la.unres, lambda v, r, c: la.matrix_to_tensor(np.eye(4), r, c)],
+        ids=["unres", "matrix_to_tensor"],
+    )
+    @pytest.mark.parametrize(
+        "rows,cols,message",
+        [
+            (2.0, 2, "matrix dimension must be an integer, got 2.0"),
+            (2, "2", "matrix dimension must be an integer, got '2'"),
+            (-2, -2, "matrix dimensions must be positive, got -2 x -2"),
+            (4, 0, "matrix dimensions must be positive, got 4 x 0"),
+        ],
+    )
+    def test_counts_checked(self, reshape, rows, cols, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reshape(np.arange(4), rows, cols)
+
 
 # Slices of the (2,2,4) flip tensor for matrix-encoded states.
 FLIP_TENSOR = np.stack(
@@ -560,6 +597,46 @@ class TestEqualUpToPhase:
         a = np.array([[1.0, 1e-170], [0.0, 1.0]])
         assert la.equal_up_to_phase(a, np.eye(2), 0.0) is None
         assert la.equal_up_to_phase(a, np.eye(2), 1e-160) == 1.0
+
+    def test_phase_between_the_entries_phases(self):
+        """No entry of b carries the best phase e^{i 5e-4}; it leaves
+        ||a - phi b|| / ||b|| = 5.0e-4."""
+        a = np.array([[np.exp(1e-3j), 1.0]])
+        phase = la.equal_up_to_phase(a, np.array([[1.0, 1.0]]), 6e-4)
+        assert phase is not None and abs(phase - np.exp(5e-4j)) < 1e-15
+
+    def test_phase_when_the_largest_entry_of_a_is_zero(self):
+        """a is zero at b's largest entry, yet phi = 1 leaves a relative
+        distance of 1 / sqrt(1 + 0.99**2) = 0.71."""
+        assert la.equal_up_to_phase(np.array([[0.0, 0.99]]), np.array([[1.0, 0.99]]), 0.8) == 1.0
+
+    @given(
+        st.integers(1, 4),
+        st.floats(-np.pi, np.pi),
+        st.integers(-4, 0),
+        st.floats(0.5, 2.0),
+        exponents,
+        seeds,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_closed_form_minimum(self, n, phi, spread, ratio, exponent, seed):
+        """min over phi of ||a - e^{i phi} b|| is sqrt(||a||^2 + ||b||^2 -
+        2|<b, a>|); a phase comes back iff that is at most tol*||b||.  tol is
+        drawn around the minimum; draws within rounding of it are skipped."""
+        rng = np.random.default_rng(seed)
+        b = random_complex(rng, (n, n))
+        a = np.exp(1j * phi) * b + 10.0**spread * random_complex(rng, (n, n))
+        na2, nb2 = np.linalg.norm(a) ** 2, np.linalg.norm(b) ** 2
+        best2 = na2 + nb2 - 2.0 * abs(np.vdot(b, a))
+        tol = ratio * math.sqrt(max(best2, 0.0) / nb2)
+        assume(abs(best2 - tol * tol * nb2) > 1e-12 * (na2 + nb2))
+        scale = 10.0**exponent
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = la.equal_up_to_phase(a * scale, b * scale, tol)
+        assert (got is not None) == (best2 <= tol * tol * nb2)
+        if got is not None:
+            assert abs(abs(got) - 1.0) < 1e-15
+            assert np.linalg.norm(a - got * b) <= tol * math.sqrt(nb2) * (1 + 1e-12)
 
     @given(st.integers(1, 4), st.floats(-np.pi, np.pi), exponents, seeds)
     @example(2, 1.0, -200, 0)

@@ -10,6 +10,7 @@ from qlift import encodings as en
 from qlift import io as qio
 from qlift import linalg as la
 from qlift import synthesis as sy
+from qlift.simulator import Circuit, CircuitStep
 from helpers import random_bijection_table, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -209,6 +210,38 @@ class TestControlled:
             sy.controlled(np.eye(3))
         with pytest.raises(ValueError, match="unitary"):
             sy.controlled(np.array([[1, 1], [0, 1]]))
+
+
+class TestOneGateTolerance:
+    """u = 1.00000000025 X is off unitary by 7.1e-10, inside the one gate
+    tolerance (1e-9) that decides everywhere whether a matrix may be a gate;
+    v = 1.000000001 X, off by 2.8e-9, is outside it everywhere."""
+
+    U = 1.00000000025 * X
+    V = 1.000000001 * X
+
+    def test_residuals(self):
+        assert 7.0e-10 < la._unitarity_residual(self.U) < 7.1e-10 < 1e-9 < la._unitarity_residual(self.V)
+
+    def test_controlled_accepts_what_circuit_c_gates_run(self):
+        assert np.array_equal(sy.controlled(self.U)[2:, 2:], self.U)
+        Circuit(QUBIT, 2, [CircuitStep(sy._controlled_block(self.U), (0, 1))])
+
+    def test_synthesized_gate_accepts_what_circuits_and_roots_accept(self):
+        gate = sy.SynthesizedGate(self.U, QUBIT, NEGATION, "reversible", 1)
+        assert np.array_equal(gate.matrix, self.U)
+        Circuit(QUBIT, 1, [CircuitStep(self.U, (0,))])
+        la.principal_unitary_sqrt(self.U)
+
+    def test_just_outside_rejected_everywhere(self):
+        with pytest.raises(ValueError, match="expects a unitary matrix"):
+            sy.controlled(self.V)
+        with pytest.raises(ValueError, match="synthesized gate is not unitary"):
+            sy.SynthesizedGate(self.V, QUBIT, NEGATION, "reversible", 1)
+        with pytest.raises(ValueError, match="gate matrix is not unitary"):
+            Circuit(QUBIT, 1, [CircuitStep(self.V, (0,))])
+        with pytest.raises(ValueError, match="requires a unitary matrix"):
+            la.principal_unitary_sqrt(self.V)
 
 
 class TestSqrtGate:
