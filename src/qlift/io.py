@@ -271,6 +271,9 @@ def parse_encoding_file(text: str, name: str = "custom") -> Encoding:
     diagnostics: list[Diagnostic] = []
     sections: dict[str, list[list[complex]]] = {"0:": [], "1:": [], "fixed:": []}
     current: str | None = None
+    # Sections with a vector line, valid or not: a bad line has its own
+    # diagnostic and does not also leave its section empty.
+    listed: set[str] = set()
     for ln, content in lines[1:]:
         if content.strip() in sections:
             current = content.strip()
@@ -278,12 +281,13 @@ def parse_encoding_file(text: str, name: str = "custom") -> Encoding:
         if current is None:
             diagnostics.append(Diagnostic(ln, 1, "expected a section marker '0:', '1:' or 'fixed:'"))
             continue
+        listed.add(current)
         vec = _entries(ln, _tokens(content), _parse_entry, diagnostics)
         if vec is not None and len(vec) != dim:
             diagnostics.append(Diagnostic(ln, 1, f"basis vector has {len(vec)} entries, expected {dim}"))
         elif vec is not None:
             sections[current].append(vec)
-    if not sections["0:"] or not sections["1:"]:
+    if not {"0:", "1:"} <= listed:
         diagnostics.append(Diagnostic(lines[-1][0], 1, "sections '0:' and '1:' must each list at least one vector"))
     if diagnostics:
         raise ParseError(diagnostics)

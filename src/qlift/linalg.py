@@ -48,6 +48,9 @@ _JACOBI_FLOOR = np.finfo(np.float64).tiny / _JACOBI_TOL
 # Entries below 2**_GRAM_EXP keep the Gram matrix a^dagger a and the squares
 # of its entries inside the double range; see _unitarity_residual.
 _GRAM_EXP = 200
+# Rows of the Gram matrix formed at a time in _unitarity_residual: at
+# dimension 1024 a strip takes 1 MiB where the whole Gram matrix takes 16.
+_GRAM_STRIP = 64
 
 # The one gate tolerance: a matrix is unitary enough to be a gate (in
 # synthesis, circuits, roots and enumeration) when ||m^dagger m - I||_F <= it.
@@ -152,18 +155,46 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _unitarity_residual(a: np.ndarray) -> float:
-    """||a^dagger a - I||_F for a square matrix, inf beyond the double range.
+    """||a^dagger a - I||_F for a square matrix, inf beyond the double range;
+    exactly 0.0 for a permutation matrix (_permutation), whose Gram matrix
+    is exactly I.
 
     A largest entry of 2**e with e above _GRAM_EXP is scaled by 2**-k, k =
     e - _GRAM_EXP, first: then a^dagger a - I = 4**k (b^dagger b - 4**-k I)
     for b = 2**-k a, and no product or square overflows.  Underflow in the
-    Gram matrix does no harm, as it is subtracted from I."""
+    Gram matrix does no harm, as it is subtracted from I.  The Gram matrix is
+    formed _GRAM_STRIP rows at a time, and the strips' norms are combined
+    with math.hypot, as their squares could overflow."""
+    if _permutation(a) is not None:
+        return 0.0
     _, e = math.frexp(float(np.abs(a).max()))
     k = max(e - _GRAM_EXP, 0)
     b = a * math.ldexp(1.0, -k) if k else a
-    gram = b.conj().T @ b
-    gram[np.diag_indices(len(b))] -= math.ldexp(1.0, -2 * k)
-    return _ldexp(float(np.linalg.norm(gram)), 2 * k)
+    total = 0.0
+    for j in range(0, len(b), _GRAM_STRIP):
+        gram = b[:, j : j + _GRAM_STRIP].conj().T @ b
+        rows = np.arange(len(gram))
+        gram[rows, rows + j] -= math.ldexp(1.0, -2 * k)
+        total = math.hypot(total, float(np.linalg.norm(gram)))
+    return _ldexp(total, 2 * k)
+
+
+def _permutation(m: np.ndarray) -> np.ndarray | None:
+    """The one-line map p of a permutation matrix, m = eye(n)[:, p] (column
+    j goes to row p[j]), or None unless the square matrix m is exactly one:
+    n nonzero entries, each exactly 1, one in every row and every column.
+    A dense m is refused after one count, with nothing allocated."""
+    n = len(m)
+    if np.count_nonzero(m) != n:
+        return None
+    # np.nonzero lists the entries in row-major order for any memory layout,
+    # so one per row leaves the rows 0, 1, ..., n-1.
+    rows, cols = np.nonzero(m)
+    if not (np.array_equal(rows, np.arange(n)) and (m[rows, cols] == 1).all()):
+        return None
+    p = np.full(n, -1)
+    p[cols] = rows
+    return p if (p >= 0).all() else None
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -361,6 +392,61 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return uw, sigma, r
 
 
+@functools.lru_cache(maxsize=256)
+def _cycle_root_column(length: int) -> np.ndarray:
+    """Column 0 of the principal root of the cyclic shift e_i -> e_{i+1 mod
+    length}, read-only; the root is the circulant r[(a - b) % length].
+
+    The DFT diagonalizes every circulant.  The shift's eigenvalues are
+    e^{i theta_k}, theta_k = 2 pi k / length for the k in (-length/2,
+    length/2], so that theta_k lies in (-pi, pi], and r[m] is the mean over
+    k of e^{i theta_k / 2} e^{-2 pi i k m / length} = e^{i k phi}, phi =
+    pi (1 - 2m) / length, for any m of its class mod length.  That Dirichlet
+    sum is (-1)^m e^{i c phi / 2} / sin(phi / 2), c = 1 for an even length
+    and 0 for an odd one.  With m, too, taken in (-length/2, length/2],
+    phi / 2 stays within 3 pi / 4 of 0, where the sine loses no accuracy,
+    so each entry carries a few units of roundoff.  The 2-cycle root is
+    exactly (1 +- i)/2."""
+    if length == 2:
+        r = np.array([1 + 1j, 1 - 1j]) / 2
+    else:
+        m = np.arange(length)
+        m[2 * m > length] -= length
+        half = np.pi * (1 - 2 * m) / (2 * length)
+        r = (-1.0) ** m * np.exp(1j * (1 - length % 2) * half) / (length * np.sin(half))
+    r.setflags(write=False)
+    return r
+
+
+def _permutation_sqrt(p: np.ndarray) -> np.ndarray:
+    """Principal square root of the permutation matrix eye(n)[:, p], cycle
+    by cycle (_cycle_root_column): the blocks of all cycles of one length,
+    fixed points included, are scattered in one fancy-index assignment."""
+    n = len(p)
+    # Pointer jumping: after round t, low[j] is the least element among the
+    # first 2**(t+1) of j's orbit, and jumps[t] is p applied 2**t times.
+    low, jumps = np.arange(n), [p]
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[jumps[-1]])
+        jumps.append(jumps[-1][jumps[-1]])
+    leaders = np.flatnonzero(low == np.arange(n))
+    lengths = np.bincount(low, minlength=n)[leaders]
+    out = np.zeros((n, n), dtype=np.complex128)
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        # Row i lists one cycle from its least element on: orbit[i, t] is
+        # p applied t times to it.  The orbit doubles in width each step.
+        orbit = leaders[lengths == length][:, None]
+        for jump in jumps:
+            if orbit.shape[1] >= length:
+                break
+            orbit = np.hstack([orbit, jump[orbit]])
+        orbit = orbit[:, :length]
+        r = _cycle_root_column(length)
+        offsets = np.arange(length)
+        out[orbit[:, :, None], orbit[:, None, :]] = r[(offsets[:, None] - offsets) % length]
+    return out
+
+
 def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
     """Principal square root of a unitary matrix.
 
@@ -368,13 +454,18 @@ def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
     e^{i theta/2}; in particular -1 maps to +i.  The result is unitary and
     squares back to the input: to a few units of roundoff times the dimension
     for a unitary input, even at clustered or repeated eigenphases, and to
-    about delta for an input off unitary by delta <= tol.  Raises ValueError
-    if the input is not unitary to within `tol`, or for a NaN or negative tol.
+    about delta for an input off unitary by delta <= tol.  A permutation
+    matrix (_permutation) takes its root cycle by cycle, with no
+    eigensolver.  Raises ValueError if the input is not unitary to within
+    `tol`, or for a NaN or negative tol.
     """
     _check_tol(tol)
     a = as_array(u, 2)
     if a.shape[0] != a.shape[1]:
         raise ValueError("principal_unitary_sqrt requires a square matrix")
+    p = _permutation(a)
+    if p is not None:
+        return _permutation_sqrt(p)
     if not is_unitary(a, tol):
         raise ValueError("principal_unitary_sqrt requires a unitary matrix")
     # The eigenphases up to sign are the arccosines of the Hermitian part's

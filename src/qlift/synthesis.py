@@ -20,7 +20,7 @@ import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _label_blocks
 from .linalg import _GATE_TOL, _check_tol, _ldexp, _prescale, _unitarity_residual, as_array
-from .linalg import _kron_apply, is_unitary, principal_unitary_sqrt
+from .linalg import _kron_apply, _permutation, is_unitary, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -164,6 +164,19 @@ class SynthesizedGate:
             raise ValueError("synthesized gate is not unitary")
 
 
+def _frame_map(enc: Encoding, n: int) -> np.ndarray | None:
+    """The index map s of W = frame^(kron n) when enc.frame is a permutation
+    matrix (_permutation), as under qubit, qutrit, ququart and matrix2: W
+    sends label j to s[j], so W^dagger u W = u[s][:, s].  None otherwise."""
+    sigma = _permutation(enc.frame)
+    if sigma is None:
+        return None
+    s = sigma
+    for _ in range(n - 1):
+        s = (s[:, None] * enc.ambient_dim + sigma).reshape(-1)
+    return s
+
+
 def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
     """W P W^dagger for a reversible f, with W = frame^(kron n) and P the
     permutation of frame labels that f induces; unchecked."""
@@ -173,6 +186,12 @@ def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
     blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
     image = np.arange(dim)
     image[blocks] = blocks[f.image]
+    s = _frame_map(enc, n)
+    if s is not None:
+        # W P W^dagger sends basis vector s[j] to s[image[j]].
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[s[image], s] = 1.0
+        return out
     # One contraction of the row-major flattened P.  P is built complex so
     # that the contraction makes no converted copy of it; it is freed on
     # return, before the caller copies and checks the gate.
@@ -297,7 +316,6 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     # A u with entries far from unit scale has a unitarity residual above 1.
     # Only such a u pays for the search of its largest entry, and only an
     # extreme one is copied (a copy adds a matrix to peak memory) and scaled.
-    frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
     scaled, e = _prescale(um, extreme_only=True) if unit_res > 1.0 else (um, 0)
     # Squared entries of frame^dagger u frame: sq[i, j] is how much of frame
     # label j lands on label i, and mass[i, x] how much of x's block does
@@ -305,7 +323,15 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     # sums below are pairwise).  A leak is the mass that lands outside the
     # target block, summed with the target zeroed: subtracting it from a
     # column total of k^n would leave ~1e-8 of rounding after the sqrt.
-    sq = (np.abs(_kron_apply(frames, scaled.reshape(-1))) ** 2).reshape(dim, dim)
+    # Under a permutation frame the contraction is a gather, taken on the
+    # real abs so that it holds one real matrix besides its result.
+    s = _frame_map(enc, n)
+    if s is None:
+        frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
+        sq = (np.abs(_kron_apply(frames, scaled.reshape(-1))) ** 2).reshape(dim, dim)
+    else:
+        sq = np.abs(scaled)[np.ix_(s, s)]
+        sq *= sq
     blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
     mass = sq[:, blocks].sum(axis=2)
     mass[blocks[g.image], np.arange(2**n)[:, None]] = 0.0

@@ -68,6 +68,8 @@ CASES = [
     ("encoding", "dim 2\n1 0\n0:\n1 0\n1:\n0 1\n", 2, 1,
      "expected a section marker '0:', '1:' or 'fixed:'"),
     ("encoding", "dim 2\n0:\n1 0\n1 zebra\n1:\n0 1\n", 4, 3, "bad numeric entry 'zebra'"),
+    # A section whose only vector is bad is listed, not also empty.
+    ("encoding", "dim 2\n0:\n1 0x\n1:\n0 1\n", 3, 3, "bad numeric entry '0x'"),
     ("encoding", "dim 2\n0:\n1 0\n1\n1:\n0 1\n", 4, 1, "basis vector has 1 entries, expected 2"),
     ("encoding", "dim 2\n0:\n1 0\n", 3, 1, "sections '0:' and '1:' must each list at least one vector"),
     ("encoding", "dim 3\n0:\n1 0 0\n0 1 0\n1:\n0 0 1\n", 1, 1,
@@ -117,9 +119,7 @@ def test_pinned_diagnostic(kind, text, line, column, message):
         ("matrix", "1 0\n1\n1 y\n", [(2, 1, "row has 1 entries, expected 2"), (3, 3, "bad numeric entry 'y'")]),
         ("table", "in 1 out 1\n01 -> 1\n1 -> 0\n",
          [(2, 1, "input must be a bit string of length 1, got '01'"), (3, 1, "missing entry for input 0")]),
-        ("encoding", "dim 2\n0:\n1\n1:\n0 1\n",
-         [(3, 1, "basis vector has 1 entries, expected 2"),
-          (5, 1, "sections '0:' and '1:' must each list at least one vector")]),
+        ("encoding", "dim 2\n0:\n1\n1:\n0 1\n", [(3, 1, "basis vector has 1 entries, expected 2")]),
         ("circuit", "encoding qubit\nwidth 2\nCNOT x 0_1\nFROB 0\n",
          [(3, 6, "target must be an integer, got 'x'"), (3, 8, "target must be an integer, got '0_1'"),
           (4, 1, "unknown gate name or unreadable matrix file 'FROB'")]),

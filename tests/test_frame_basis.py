@@ -1,15 +1,21 @@
 """classify_state, quantize_reversible and quantization_report work in the
 frame basis [basis0 | basis1 | fixed].  These tests hold them to the
 per-bit-string Kronecker loops they replace, rebuilt here from
-logical_subspace and fixed_complement."""
+logical_subspace and fixed_complement.  Where the frame is a permutation
+matrix, synthesis, verification and the root take index maps instead; those
+paths are held to the Kronecker contraction and the eigensolver."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlift import encodings as en
 from qlift import io as qio
+from qlift import linalg as la
 from qlift import synthesis as sy
 from helpers import random_bijection_table, random_complex, random_unitary
 
@@ -172,3 +178,78 @@ def test_pauli_gate_times_in_subspace_unitary_verifies(n):
     report = sy.quantization_report(sy.quantize_reversible(f, enc).matrix @ v, f, enc, 1e-9)
     assert report.ok
     assert max(c.residual for c in report.subspace_checks) <= 1e-12
+
+
+# An aligned frame [e1 | e2 | e0], a 3-cycle rather than the identity, with a
+# fixed direction.
+SHIFTED = en.Encoding("shifted", 3, [[0, 1, 0]], [[0, 0, 1]], [[1, 0, 0]])
+QUTRIT_LIKE = ENCODINGS[-1]
+PERMUTATION_FRAMES = [en.builtin_encoding(name) for name in en.BUILTIN_ENCODINGS] + [QUTRIT_LIKE, SHIFTED]
+
+
+def _negated(enc):
+    """enc with every frame vector negated: the same subspaces, so the same
+    gates and reports, but no permutation frame, so synthesis and
+    verification take the Kronecker contraction."""
+    return en.Encoding(enc.name, enc.ambient_dim, -enc.basis0, -enc.basis1, -enc.fixed)
+
+
+def _residuals(report):
+    return [report.unitarity_residual, report.complement_residual or 0.0] + [
+        c.residual for c in report.subspace_checks
+    ]
+
+
+@given(st.sampled_from(PERMUTATION_FRAMES), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_permutation_frames_match_the_dense_paths(enc, n, seed):
+    """Random bijections: the scattered gate equals the contracted one, the
+    gathered report's residuals those of the contraction, on the gate and a
+    Givens-corrupted copy, and the cycle root Q^dagger root(Q P Q^dagger) Q,
+    which takes the eigen route."""
+    assert (la._permutation(enc.frame) is None) == (enc.name == "pauli")
+    assert la._permutation(_negated(enc).frame) is None
+    rng = np.random.default_rng(seed)
+    f = sy.ClassicalFunction(n, n, random_bijection_table(rng, n))
+    gate = sy.quantize_reversible(f, enc).matrix
+    assert np.array_equal(gate, sy.quantize_reversible(f, _negated(enc)).matrix)
+
+    i, j = rng.choice(len(gate), 2, replace=False)
+    c, s = np.cos(0.3), np.sin(0.3)
+    bad = gate.copy()
+    bad[:, [i, j]] = gate[:, [i, j]] @ np.array([[c, -s], [s, c]])
+    for u in (gate, bad):
+        fast = sy.quantization_report(u, f, enc, 1e-9)
+        dense = sy.quantization_report(u, f, _negated(enc), 1e-9)
+        assert np.abs(np.subtract(_residuals(fast), _residuals(dense))).max() <= 1e-15
+        assert fast.failures() == dense.failures()
+
+    q = random_unitary(rng, len(gate))
+    expected = q.conj().T @ la.principal_unitary_sqrt(q @ gate @ q.conj().T) @ q
+    assert np.abs(la.principal_unitary_sqrt(gate) - expected).max() <= 1e-12
+
+
+def test_ququart_n5_holds_about_one_matrix_per_step():
+    """At ququart n=5 (d^n = 1024, 16 MiB a matrix) synthesis holds the gate
+    and its checked copy, and the report, on the gate or a corrupted copy,
+    the real abs of u and its gather; the Kronecker route took four and two
+    matrices."""
+    enc = en.builtin_encoding("ququart")
+    f = sy.ClassicalFunction(5, 5, random_bijection_table(np.random.default_rng(9), 5))
+    tracemalloc.start()
+    try:
+        gate = sy.quantize_reversible(f, enc)
+        synthesis_peak = tracemalloc.get_traced_memory()[1]
+        bad = gate.matrix.copy()
+        bad[:, [0, 40]] = bad[:, [40, 0]] * np.array([0.6, 0.8])
+        report_peaks = []
+        for u in (gate.matrix, bad):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sy.quantization_report(u, f, enc, 1e-9)
+            report_peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    nbytes = gate.matrix.nbytes
+    assert synthesis_peak <= 2.25 * nbytes
+    assert max(report_peaks) <= 1.25 * nbytes

@@ -443,6 +443,124 @@ class TestPrincipalSqrt:
             la.principal_unitary_sqrt(np.ones((2, 3)))
 
 
+def permutation_matrix(p):
+    """eye(n)[:, p]: column j has its 1 in row p[j]."""
+    return np.eye(len(p), dtype=complex)[:, p]
+
+
+class TestPermutation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
+    def test_one_line_map(self, n):
+        p = np.random.default_rng(n).permutation(n)
+        m = permutation_matrix(p)
+        for v in [m, np.asfortranarray(m)]:
+            assert np.array_equal(la._permutation(v), p)
+        assert np.array_equal(la._permutation(m.T), np.argsort(p))
+
+    @pytest.mark.parametrize(
+        "entry,value",
+        [((0, 1), 1 + 1e-16j), ((0, 1), -1.0), ((0, 1), 1 - 1e-16), ((2, 2), 1.0), ((2, 2), 1e-300)],
+    )
+    def test_near_misses(self, entry, value):
+        """Not exactly one 1 per row and column: a complex or negative
+        entry, a rounded 1, or an extra nonzero entry."""
+        m = permutation_matrix([1, 0, 3, 2])
+        m[entry] = value
+        for v in [m, np.asfortranarray(m)]:
+            assert la._permutation(v) is None
+
+    def test_repeated_row(self):
+        """n ones, one per column, but two in row 0 and none in row 3."""
+        m = permutation_matrix([1, 0, 3, 2])
+        m[3, 2], m[0, 2] = 0.0, 1.0
+        for v in [m, np.asfortranarray(m), m.T, np.asfortranarray(m.T)]:
+            assert np.count_nonzero(v) == 4 and la._permutation(v) is None
+
+    def test_dense_and_zero(self):
+        assert la._permutation(H) is None
+        assert la._permutation(np.zeros((3, 3), dtype=complex)) is None
+        assert la._permutation(np.ones((1, 1), dtype=complex) * 1j) is None
+
+    def test_residual_of_a_permutation_is_exactly_zero(self):
+        m = permutation_matrix(np.random.default_rng(3).permutation(130))
+        assert la._unitarity_residual(m) == 0.0 and la.is_unitary(m, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("exponent", [0, 250, -250])
+    def test_residual_in_strips(self, n, exponent):
+        """The Gram matrix taken _GRAM_STRIP rows at a time gives the
+        residual of the whole one, at any scale."""
+        rng = np.random.default_rng(n)
+        a = random_unitary(rng, n) + 1e-3 * random_complex(rng, (n, n))
+        expected = np.linalg.norm(a.conj().T @ a - 4.0**-exponent * np.eye(n)) * 4.0**exponent
+        assert la._unitarity_residual(a * 2.0**exponent) == pytest.approx(expected, rel=1e-12)
+
+
+def closed_form_cycle_root(length):
+    """Column 0 of the root of the length-cycle shift, in 40 digits: the
+    geometric sum (1/L) sum_k q^k over k in (-L/2, L/2], q = e^{i pi (1 -
+    2m) / L}, which never equals 1."""
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = -((length - 1) // 2), length // 2
+    out = []
+    with mpmath.workdps(40):
+        for m in range(length):
+            q = mpmath.expjpi(mpmath.mpf(1 - 2 * m) / length)
+            out.append(complex((q ** (hi + 1) - q**lo) / (q - 1) / length))
+    return np.array(out)
+
+
+class TestPermutationSqrt:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 31, 64, 255, 256])
+    def test_cycle_block_matches_closed_form(self, length):
+        r = la._cycle_root_column(length)
+        assert np.abs(r - closed_form_cycle_root(length)).max() <= 1e-15
+        assert not r.flags.writeable
+
+    def test_two_cycle_block_is_exact(self):
+        assert np.array_equal(la._cycle_root_column(2), [(1 + 1j) / 2, (1 - 1j) / 2])
+        assert np.array_equal(la.principal_unitary_sqrt(X), 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_eigen_route(self, seed, monkeypatch):
+        """On permutations of n <= 256 the cycle route squares back to 1e-14
+        and agrees with the eigen route to 1e-13, entrywise; the eigen
+        route's own entries are off by up to about 7e-14 there."""
+        rng = np.random.default_rng(seed)
+        n = 256 if seed % 2 else int(rng.integers(1, 257))
+        cases = [rng.permutation(n), np.roll(np.arange(n), 1), np.arange(n) ^ 1 if n % 2 == 0 else np.arange(n)]
+        for p in cases:
+            m = permutation_matrix(p)
+            w = la.principal_unitary_sqrt(m)
+            assert np.abs(w @ w - m).max() <= 1e-14
+            with monkeypatch.context() as patch:
+                patch.setattr(la, "_permutation", lambda a: None)
+                eigen = la.principal_unitary_sqrt(m)
+            assert np.abs(w - eigen).max() <= 1e-13
+
+    @given(st.permutations(range(12)) | st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
+    @example([0, 4, 6, 3, 1, 8, 7, 2, 5, 10, 11, 9])
+    @settings(max_examples=100, deadline=None)
+    def test_matches_cycle_by_cycle_loop(self, p):
+        """The vectorized scatter equals a loop that walks each cycle from
+        its least element and writes its block entry by entry."""
+        p = np.array(p)
+        expected = np.zeros((len(p), len(p)), dtype=complex)
+        seen = set()
+        for start in range(len(p)):
+            if start in seen:
+                continue
+            cycle = [start]
+            while p[cycle[-1]] != start:
+                cycle.append(int(p[cycle[-1]]))
+            seen.update(cycle)
+            r = la._cycle_root_column(len(cycle))
+            for a, i in enumerate(cycle):
+                for b, j in enumerate(cycle):
+                    expected[i, j] = r[(a - b) % len(cycle)]
+        assert np.array_equal(la.principal_unitary_sqrt(permutation_matrix(p)), expected)
+
+
 class TestResUnres:
     def test_row_order(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
