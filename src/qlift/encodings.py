@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_tol, _count, _kron_apply, _norm, _unit, _unitarity_residual, as_array, kron
+from .linalg import _check_tol, _count, _frozen, _kron_apply, _norm, _permutation, _unit, _unitarity_residual
+from .linalg import as_array, kron
 
 __all__ = [
     "Encoding",
@@ -63,18 +64,6 @@ def _bit_strings(n: int, indices=None) -> list[str]:
     """The n-bit strings of `indices` (by default all 2**n in index order):
     index i in binary, most significant bit first."""
     return [format(i, f"0{n}b") for i in (range(2**n) if indices is None else indices)]
-
-
-@functools.lru_cache(maxsize=64)
-def _label_blocks(d: int, k: int, n: int) -> np.ndarray:
-    """Frame labels of the logical subspaces, read-only, shape (2**n, k**n).
-    Labels number the columns of frame^(kron n).  Row x (bit strings in index
-    order) holds the labels spanning x's logical subspace, in
-    logical_subspace's column order; a label in no row has a fixed factor."""
-    corner = np.arange(d**n).reshape((d,) * n)[(slice(0, 2 * k),) * n].reshape((2, k) * n)
-    blocks = corner.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(2**n, k**n)
-    blocks.setflags(write=False)
-    return blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +146,7 @@ class QuantumState:
     subsystem_count: int
 
     def __post_init__(self):
-        amps = as_array(self.amplitudes, 1).copy()
-        amps.setflags(write=False)
+        amps = _frozen(as_array(self.amplitudes, 1))
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "subsystem_count", _count(self.subsystem_count, "subsystem_count"))
         if self.subsystem_count < 1:
@@ -234,6 +222,25 @@ def builtin_encoding(name: str) -> Encoding:
         ) from None
 
 
+@functools.lru_cache(maxsize=64)
+def _layout(enc: Encoding, n: int) -> tuple[np.ndarray, bool]:
+    """The one layout of the logical subspaces of n subsystems: a read-only
+    (2**n, k**n) table and whether enc.frame is a permutation matrix.  Row x
+    lists the columns of W = frame^(kron n) spanning bit string x's
+    subspace, in logical_subspace's column order; a column in no row has a
+    fixed factor.  Column j = (j_1 .. j_n) in base d is frame label j, or,
+    under a permutation frame sigma, ambient index sum_i sigma[j_i] d^(n-i),
+    in which numbering W = I."""
+    d, k = enc.ambient_dim, enc.bit_dim
+    sigma = _permutation(enc.frame)
+    digits = (np.arange(d) if sigma is None else sigma)[: 2 * k]
+    corner = functools.reduce(lambda a, b: (a[:, None] * d + b).reshape(-1), [digits] * n)
+    bit_major = corner.reshape((2, k) * n).transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+    table = bit_major.reshape(2**n, k**n)
+    table.setflags(write=False)
+    return table, sigma is not None
+
+
 def encode_bits(enc: Encoding, bits: str) -> QuantumState:
     """Encode a bit string as the Kronecker product of per-bit basis vectors.
 
@@ -277,16 +284,18 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     (1-tol) of the squared norm (the lowest such b on ties); outside the code
     if the projection onto the span of all logical subspaces carries less
     than (1-tol); superposition otherwise.  The weights are summed over each
-    bit string's block of frame labels (_label_blocks) in the frame basis, so
-    no d^n-row subspace basis is built.  Raises ValueError for a NaN or
+    bit string's row of the layout (_layout) in the frame basis, so no
+    d^n-row subspace basis is built.  Raises ValueError for a NaN or
     negative tol.
     """
     _check_tol(tol)
     if s.encoding is not enc and s.encoding != enc:
         raise ValueError("state was prepared under a different encoding")
     n = s.subsystem_count
-    coeffs = _kron_apply([enc.frame.conj().T] * n, s.normalized())
-    weights = (np.abs(coeffs) ** 2)[_label_blocks(enc.ambient_dim, enc.bit_dim, n)].sum(axis=1)
+    table, aligned = _layout(enc, n)
+    psi = s.normalized()
+    coeffs = psi if aligned else _kron_apply([enc.frame.conj().T] * n, psi)
+    weights = (np.abs(coeffs) ** 2)[table].sum(axis=1)
     best = int(np.argmax(weights))
     if weights[best] >= 1.0 - tol:
         return StateClassification(StateKind.LOGICAL, _bit_strings(n, [best])[0])

@@ -102,6 +102,16 @@ def as_array(a, ndim: int) -> np.ndarray:
     return out
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself when it is read-only and owns its memory, so that no view
+    can write to it and only a holder of a could make it writeable again;
+    otherwise a read-only copy of a."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 def _check_tol(tol) -> None:
     """The one tolerance rule: ValueError for a NaN or negative tol."""
     if not tol >= 0:
@@ -232,19 +242,12 @@ def kron_apply(mats, x) -> np.ndarray:
     column counts.  Each factor in turn contracts the leading index of x and
     the result index moves to the back, so after the last factor the indices
     are back in order.  The cost is one small matmul per factor over len(x)
-    entries instead of a product-sized matrix.  If a partial product
-    overflows or underflows, as with factors at opposite extreme scales, the
-    product is taken again with each factor and x scaled by a power of two
-    near its largest entry and the result scaled back.  Raises ValueError for
-    NaN or Inf entries and if an entry of the result exceeds the double range.
+    entries instead of a product-sized matrix.  Each factor and x are first
+    scaled by a power of two near their largest entry, exactly, and the
+    result scaled back, so no partial product overflows or underflows, even
+    with factors at opposite extreme scales.  Raises ValueError for NaN or
+    Inf entries and if an entry of the result exceeds the double range.
     """
-    try:
-        with np.errstate(over="raise", under="raise", invalid="raise"):
-            y = _kron_apply(mats, x)
-        if np.isfinite(y).all():
-            return y
-    except FloatingPointError:
-        pass
     parts = [_prescale(np.asarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)) for a in (*mats, x)]
     if not all(np.isfinite(a).all() for a, _ in parts):
         raise ValueError("kron_apply operand contains NaN or Inf entries")

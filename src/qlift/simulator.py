@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, QuantumState, encode_bits
-from .linalg import _GATE_TOL, _count, as_array, is_unitary, tensor_to_matrix
+from .linalg import _GATE_TOL, _count, _frozen, as_array, is_unitary, tensor_to_matrix
 from .synthesis import named_gate
 
 __all__ = [
@@ -80,19 +80,15 @@ def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple[in
     return gm, targets
 
 
-def _resolve(step: CircuitStep, enc: Encoding) -> np.ndarray:
-    if isinstance(step.gate, str):
-        return named_gate(step.gate, enc, step.phi)
-    return tensor_to_matrix(step.gate) if np.ndim(step.gate) == 3 else step.gate
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Steps on `width` subsystems of an encoding.  Building it resolves and
     checks every step (targets, dimension, unitarity): a bad step raises
     ValueError here.  A gate is resolved and checked for unitarity once per
-    distinct (name, phi) or array object, however many steps use it.
-    Circuits compare by encoding, width and steps."""
+    distinct (name, phi) or array object, however many steps use it.  The
+    steps keep read-only snapshots of their array gates, matrices and
+    tensors alike, so circuits compare by encoding, width and the steps they
+    run, whatever becomes of the caller's arrays."""
 
     encoding: Encoding
     width: int
@@ -104,28 +100,31 @@ class Circuit:
         object.__setattr__(self, "width", _count(self.width, "circuit width"))
         if self.width < 1:
             raise ValueError("circuit width must be positive")
-        object.__setattr__(self, "steps", tuple(self.steps))
-        # Keyed by (name, phi), or by id() of an array gate: self.steps holds
-        # every array for the whole loop, so no id is reused.
-        seen: dict[tuple[str, float | None] | int, np.ndarray] = {}
-        checked = []
-        for step in self.steps:
-            key = (step.gate, step.phi) if isinstance(step.gate, str) else id(step.gate)
-            gm = seen.get(key)
-            fresh = gm is None
-            gm, targets = _check_step(
-                _resolve(step, self.encoding) if fresh else gm,
-                step.targets,
-                self.encoding.ambient_dim,
-                self.width,
-            )
+        # Keyed by (name, phi), or by id() of an array gate: `given` holds
+        # every array for the whole loop, so no id is reused.  The value is
+        # the gate the steps keep (an array gate's read-only snapshot) and
+        # its checked matrix.
+        given = tuple(self.steps)
+        seen: dict[tuple[str, float | None] | int, tuple[np.ndarray | str, np.ndarray]] = {}
+        steps, checked = [], []
+        for step in given:
+            named = isinstance(step.gate, str)
+            key = (step.gate, step.phi) if named else id(step.gate)
+            fresh = key not in seen
+            if fresh:
+                gate = step.gate if named else _frozen(np.asarray(step.gate, dtype=np.complex128))
+                gm = named_gate(gate, self.encoding, step.phi) if named else gate
+                seen[key] = gate, tensor_to_matrix(gm) if np.ndim(gm) == 3 else gm
+            gate, gm = seen[key]
+            gm, targets = _check_step(gm, step.targets, self.encoding.ambient_dim, self.width)
             if fresh:
                 if not is_unitary(gm, _GATE_TOL):
                     raise ValueError("gate matrix is not unitary")
-                gm = gm.copy()
-                gm.setflags(write=False)
-                seen[key] = gm
+                gm = _frozen(gm)
+                seen[key] = gate, gm
+            steps.append(step if named else CircuitStep(gate, step.targets, step.phi))
             checked.append((gm, targets))
+        object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "_checked", tuple(checked))
 
 

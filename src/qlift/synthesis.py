@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _label_blocks
-from .linalg import _GATE_TOL, _check_tol, _ldexp, _prescale, _unitarity_residual, as_array
-from .linalg import _kron_apply, _permutation, is_unitary, principal_unitary_sqrt
+from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _layout
+from .linalg import _GATE_TOL, _check_tol, _frozen, _ldexp, _prescale, _unitarity_residual, as_array
+from .linalg import _kron_apply, is_unitary, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -148,7 +148,8 @@ def reversible_closure(f: ClassicalFunction) -> ClassicalFunction:
 
 @dataclass(frozen=True, eq=False)
 class SynthesizedGate:
-    """A unitary realizing a classical function under an encoding."""
+    """A unitary realizing a classical function under an encoding, held
+    read-only (_frozen): a caller's array or a view of one is copied."""
 
     matrix: np.ndarray
     encoding: Encoding
@@ -157,47 +158,31 @@ class SynthesizedGate:
     subsystem_count: int
 
     def __post_init__(self):
-        m = as_array(self.matrix, 2).copy()
-        m.setflags(write=False)
+        m = _frozen(as_array(self.matrix, 2))
         object.__setattr__(self, "matrix", m)
         if not is_unitary(m, _GATE_TOL):
             raise ValueError("synthesized gate is not unitary")
 
 
-def _frame_map(enc: Encoding, n: int) -> np.ndarray | None:
-    """The index map s of W = frame^(kron n) when enc.frame is a permutation
-    matrix (_permutation), as under qubit, qutrit, ququart and matrix2: W
-    sends label j to s[j], so W^dagger u W = u[s][:, s].  None otherwise."""
-    sigma = _permutation(enc.frame)
-    if sigma is None:
-        return None
-    s = sigma
-    for _ in range(n - 1):
-        s = (s[:, None] * enc.ambient_dim + sigma).reshape(-1)
-    return s
-
-
 def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
     """W P W^dagger for a reversible f, with W = frame^(kron n) and P the
-    permutation of frame labels that f induces; unchecked."""
+    permutation of the layout's columns (_layout) that f induces; read-only,
+    unchecked.  Under a permutation frame W = I and P is the gate."""
     n = f.arity_in
     dim = enc.ambient_dim**n
-    # Label j of x's block goes to label j of f(x)'s; fixed-factor labels stay.
-    blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
+    table, aligned = _layout(enc, n)
+    # Column j of x's row goes to column j of f(x)'s; the other columns stay.
     image = np.arange(dim)
-    image[blocks] = blocks[f.image]
-    s = _frame_map(enc, n)
-    if s is not None:
-        # W P W^dagger sends basis vector s[j] to s[image[j]].
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        out[s[image], s] = 1.0
-        return out
-    # One contraction of the row-major flattened P.  P is built complex so
-    # that the contraction makes no converted copy of it; it is freed on
-    # return, before the caller copies and checks the gate.
-    frames = [enc.frame] * n + [enc.frame.conj()] * n
-    perm = np.eye(dim, dtype=np.complex128)[:, image].reshape(-1)
-    return _kron_apply(frames, perm).reshape(dim, dim)
+    image[table] = table[f.image]
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    out[image, np.arange(dim)] = 1.0
+    if not aligned:
+        # One contraction of the row-major flattened P, written back into
+        # P, so that the gate owns its memory and is handed over uncopied.
+        frames = [enc.frame] * n + [enc.frame.conj()] * n
+        out[...] = _kron_apply(frames, out.reshape(-1)).reshape(dim, dim)
+    out.setflags(write=False)
+    return out
 
 
 def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
@@ -317,34 +302,33 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     # Only such a u pays for the search of its largest entry, and only an
     # extreme one is copied (a copy adds a matrix to peak memory) and scaled.
     scaled, e = _prescale(um, extreme_only=True) if unit_res > 1.0 else (um, 0)
-    # Squared entries of frame^dagger u frame: sq[i, j] is how much of frame
-    # label j lands on label i, and mass[i, x] how much of x's block does
-    # (indexing, unlike np.take, leaves i the innermost axis, so the column
-    # sums below are pairwise).  A leak is the mass that lands outside the
-    # target block, summed with the target zeroed: subtracting it from a
-    # column total of k^n would leave ~1e-8 of rounding after the sqrt.
-    # Under a permutation frame the contraction is a gather, taken on the
-    # real abs so that it holds one real matrix besides its result.
-    s = _frame_map(enc, n)
-    if s is None:
+    # Squared entries of W^dagger u W, W = frame^(kron n): sq[i, j] is how
+    # much of W's column j lands on column i, and mass[i, x] how much of x's
+    # row of the layout does (indexing, unlike np.take, leaves i the
+    # innermost axis, so the column sums below are pairwise).  A leak is the
+    # mass that lands outside the target row, summed with the target zeroed:
+    # subtracting it from a column total of k^n would leave ~1e-8 of
+    # rounding after the sqrt.  Under a permutation frame W = I in the
+    # layout's numbering, so sq is abs(u) squared in place.
+    table, aligned = _layout(enc, n)
+    if aligned:
+        sq = np.abs(scaled)
+        sq *= sq
+    else:
         frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
         sq = (np.abs(_kron_apply(frames, scaled.reshape(-1))) ** 2).reshape(dim, dim)
-    else:
-        sq = np.abs(scaled)[np.ix_(s, s)]
-        sq *= sq
-    blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
-    mass = sq[:, blocks].sum(axis=2)
-    mass[blocks[g.image], np.arange(2**n)[:, None]] = 0.0
+    mass = sq[:, table].sum(axis=2)
+    mass[table[g.image], np.arange(2**n)[:, None]] = 0.0
     residuals = np.sqrt(mass.sum(axis=0)).tolist()
     if e:
         residuals = [_ldexp(res, e) for res in residuals]
     bits = _bit_strings(n)
     checks = [SubspaceCheck(x, bits[y], res, res <= tol) for x, y, res in zip(bits, g.image, residuals)]
-    # The complement leak: mass moving from labels with a fixed factor onto logical ones.
+    # The complement leak: mass moving from columns with a fixed factor onto logical ones.
     comp_res = None
     if enc.fixed.shape[1]:
-        leak = sq[blocks.reshape(-1)]
-        leak[:, blocks] = 0.0
+        leak = sq[table.reshape(-1)]
+        leak[:, table] = 0.0
         comp_res = _ldexp(float(np.sqrt(leak.sum())), e)
     return QuantizationReport(unit_res <= tol, unit_res, tuple(checks), comp_res, tol)
 
@@ -380,16 +364,16 @@ def enumerate_permutation_quantizations(
         raise ValueError(
             f"ambient dimension {dim} exceeds the enumeration cap of {_ENUMERATION_DIM_CAP}"
         )
-    # proj[a, b, x] is entry (a, b) of the projector onto the frame labels of
-    # group x: row x of the label table, or for x = 2**n the labels in no row
+    # proj[a, b, x] is entry (a, b) of the projector onto the columns of W
+    # in group x: row x of the layout, or for x = 2**n the columns in no row
     # (the fixed complement).
     eye = np.eye(dim, dtype=np.complex128)
-    w = _kron_apply([enc.frame] * n, eye)
-    blocks = _label_blocks(enc.ambient_dim, enc.bit_dim, n)
-    group = np.full(dim, len(blocks))
-    group[blocks] = np.arange(len(blocks))[:, None]
-    proj = (w[:, None, :] * w.conj()) @ (group[:, None] == np.arange(len(blocks) + 1))
-    image = proj[:, :, np.append(f.image, len(blocks))]
+    table, aligned = _layout(enc, n)
+    w = eye if aligned else _kron_apply([enc.frame] * n, eye)
+    group = np.full(dim, len(table))
+    group[table] = np.arange(len(table))[:, None]
+    proj = (w[:, None, :] * w.conj()) @ (group[:, None] == np.arange(len(table) + 1))
+    image = proj[:, :, np.append(f.image, len(table))]
     bound = np.sqrt(2) * _GATE_TOL
     out = []
 

@@ -270,6 +270,28 @@ class TestCircuitEquality:
     def test_any_difference_makes_unequal(self, change):
         assert self.build() != self.build(**change)
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_compares_by_the_gates_it_runs(self, ndim):
+        """A caller's array changed after the build changes neither the
+        circuit's equality and hash nor what it runs; matrices and
+        trace-action tensors alike."""
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        wrap = (lambda m: la.matrix_to_tensor(m, 2, 1)) if ndim == 3 else (lambda m: m)
+        g = wrap(np.eye(2, dtype=complex))
+        c = sim.Circuit(QUBIT, 1, (sim.CircuitStep(g, (0,)),))
+        g[...] = wrap(x)
+        flipped = sim.Circuit(QUBIT, 1, (sim.CircuitStep(wrap(x), (0,)),))
+        assert c != flipped and c == sim.Circuit(QUBIT, 1, (sim.CircuitStep(wrap(np.eye(2)), (0,)),))
+        assert np.array_equal(sim.run_circuit(c, "0").amplitudes, [1, 0])
+        assert np.array_equal(sim.run_circuit(flipped, "0").amplitudes, [0, 1])
+        assert not c.steps[0].gate.flags.writeable
+
+    def test_a_shared_array_is_snapshotted_once(self):
+        g = sy.hadamard()
+        c = sim.Circuit(QUBIT, 2, (sim.CircuitStep(g, (0,)), sim.CircuitStep(g, (1,))))
+        assert c.steps[0].gate is c.steps[1].gate is c._checked[0][0] is c._checked[1][0]
+        assert c.steps[0].gate is not g
+
     def test_encoding_and_width_compared(self):
         assert sim.Circuit(QUBIT, 1, ()) == sim.Circuit(QUBIT, 1, ())
         assert sim.Circuit(QUBIT, 1, ()) != sim.Circuit(QUBIT, 2, ())

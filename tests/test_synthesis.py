@@ -96,6 +96,26 @@ class TestQuantizeReversible:
         with pytest.raises(ValueError, match="synthesized gate is not unitary"):
             sy.SynthesizedGate(np.ones((2, 2)), QUBIT, NEGATION, "reversible", 1)
 
+    def test_gate_holds_synthesis_matrix_and_copies_a_callers(self):
+        """Synthesis hands its read-only matrix over uncopied; a caller's
+        writeable array, a view of one or a read-only view of one is copied,
+        so writing to it afterwards leaves the gate unchanged."""
+        for enc in (QUBIT, en.builtin_encoding("pauli")):
+            built = sy.quantize_reversible(NEGATION, enc).matrix
+            assert built.flags.owndata and not built.flags.writeable
+            assert sy.SynthesizedGate(built, enc, NEGATION, "reversible", 1).matrix is built
+
+        def read_only_view(a):
+            view = a.view()
+            view.setflags(write=False)
+            return view
+
+        for make in (lambda a: a, lambda a: a[:, :], read_only_view):
+            a = X.copy()
+            gate = sy.SynthesizedGate(make(a), QUBIT, NEGATION, "reversible", 1)
+            a[...] = np.eye(2)
+            assert np.array_equal(gate.matrix, X) and not gate.matrix.flags.writeable
+
     def test_qubit_bijections_give_exact_permutation_matrices(self):
         rng = np.random.default_rng(41)
         for n in (1, 2, 3):
