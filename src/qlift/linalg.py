@@ -48,8 +48,8 @@ _JACOBI_FLOOR = np.finfo(np.float64).tiny / _JACOBI_TOL
 # Entries below 2**_GRAM_EXP keep the Gram matrix a^dagger a and the squares
 # of its entries inside the double range; see _unitarity_residual.
 _GRAM_EXP = 200
-# Rows of the Gram matrix formed at a time in _unitarity_residual: at
-# dimension 1024 a strip takes 1 MiB where the whole Gram matrix takes 16.
+# Columns per strip of the Gram matrix in _unitarity_residual: at dimension
+# 1024 a strip takes at most 1 MiB where the whole Gram matrix takes 16.
 _GRAM_STRIP = 64
 
 # The one gate tolerance: a matrix is unitary enough to be a gate (in
@@ -166,27 +166,66 @@ def _norm(x: np.ndarray) -> float:
 
 def _unitarity_residual(a: np.ndarray) -> float:
     """||a^dagger a - I||_F for a square matrix, inf beyond the double range;
-    exactly 0.0 for a permutation matrix (_permutation), whose Gram matrix
-    is exactly I.
+    exactly 0.0 for a permutation matrix.
+
+    A column is lone when it has one nonzero entry and that entry is the
+    only nonzero in its row.  It meets no other column in a^dagger a and
+    adds (|a_ij|^2 - 1)^2 to the squared residual, which is exactly 0 for an
+    entry 1.  The Gram matrix is formed only over the other columns, b: a
+    itself when no column is lone, else a copy of those columns, with no
+    rows dropped, since b is zero on the rows of lone entries.  Of that
+    Gram matrix only the upper block triangle is formed, _GRAM_STRIP
+    columns of b at a time against those from the strip on: the strip's
+    diagonal block counts once and the block beyond it twice.  Norms are
+    combined with math.hypot, as their squares could overflow.
 
     A largest entry of 2**e with e above _GRAM_EXP is scaled by 2**-k, k =
-    e - _GRAM_EXP, first: then a^dagger a - I = 4**k (b^dagger b - 4**-k I)
-    for b = 2**-k a, and no product or square overflows.  Underflow in the
-    Gram matrix does no harm, as it is subtracted from I.  The Gram matrix is
-    formed _GRAM_STRIP rows at a time, and the strips' norms are combined
-    with math.hypot, as their squares could overflow."""
-    if _permutation(a) is not None:
-        return 0.0
-    _, e = math.frexp(float(np.abs(a).max()))
-    k = max(e - _GRAM_EXP, 0)
-    b = a * math.ldexp(1.0, -k) if k else a
+    e - _GRAM_EXP, first: then a^dagger a - I = 4**k (c^dagger c - 4**-k I)
+    for c = 2**-k a, and no product or square overflows.  Underflow does no
+    harm, as it is subtracted from I.  The largest entry of b is searched
+    one strip at a time, so that the search makes no temporary the size of
+    a."""
+    nz = a != 0
+    # col[i] is row i's first nonzero column, and lone[i] marks a row whose
+    # one nonzero entry is also the only one in its column col[i].
+    col = nz.argmax(1)
+    lone = nz.sum(1) * nz.sum(0)[col] == 1
+    single = abs(a[lone, col[lone]])
+    # b holds the cols columns that are not lone: all of a, none of it, or
+    # a copy of the rest.
+    cols = len(a) - len(single)
+    b = a[:, :cols]
+    if len(single) and cols:
+        rest = np.ones(len(a), dtype=bool)
+        rest[col[lone]] = False
+        b = a[:, rest]
+    top = single.max(initial=0.0)
+    for j in range(0, cols, _GRAM_STRIP):
+        top = max(top, abs(b[:, j : j + _GRAM_STRIP]).max())
+    k = max(math.frexp(top)[1] - _GRAM_EXP, 0)
+    if k:
+        single *= math.ldexp(1.0, -k)
+        b = b * math.ldexp(1.0, -k)
+    one = math.ldexp(1.0, -2 * k)
     total = 0.0
-    for j in range(0, len(b), _GRAM_STRIP):
-        gram = b[:, j : j + _GRAM_STRIP].conj().T @ b
-        rows = np.arange(len(gram))
-        gram[rows, rows + j] -= math.ldexp(1.0, -2 * k)
-        total = math.hypot(total, float(np.linalg.norm(gram)))
+    if len(single):
+        single *= single
+        single -= one
+        total = math.sqrt(single @ single)
+    for j in range(0, cols, _GRAM_STRIP):
+        # Row r holds Gram row j + r over the strip's w columns, conjugated:
+        # the diagonal block is the first w rows and the block beyond it
+        # the rest, both contiguous.
+        gram = b[:, j:].T @ b[:, j : j + _GRAM_STRIP].conj()
+        w = gram.shape[1]
+        gram.reshape(-1)[: w * w : w + 1] -= one
+        total = math.hypot(total, _frobenius(gram[:w]), math.sqrt(2.0) * _frobenius(gram[w:]))
     return _ldexp(total, 2 * k)
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of a complex array, unscaled."""
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def _permutation(m: np.ndarray) -> np.ndarray | None:
@@ -569,8 +608,9 @@ def equal_up_to_phase(a, b, tol: float) -> complex | None:
 
 
 def is_unitary(m, tol: float) -> bool:
-    """True iff ||m† m - I||_F <= tol, at any scale.  Raises ValueError for
-    non-square input and for a NaN or negative tol."""
+    """True iff ||m† m - I||_F <= tol, at any scale, with the Gram matrix
+    formed only among columns that are not lone (_unitarity_residual).
+    Raises ValueError for non-square input and for a NaN or negative tol."""
     _check_tol(tol)
     a = as_array(m, 2)
     if a.shape[0] != a.shape[1]:

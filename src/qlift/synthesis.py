@@ -282,21 +282,27 @@ class QuantizationReport:
 def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> QuantizationReport:
     """Check whether u realizes f under enc, with per-subspace diagnostics.
 
-    For irreversible f the check runs against the reversible closure
-    |x>|y> -> |x>|f(x) xor y>.  Raises ValueError for a NaN or negative tol.
+    u is checked against the reversible closure |x>|y> -> |x>|f(x) xor y>
+    of f (reversible_closure, on m+k bits) when f is irreversible, and also
+    when f is a bijection but u has the closure's dimension d^(m+k) rather
+    than f's own d^m: the gate quantize_irreversible builds from it.  For a
+    bijection the two dimensions always differ.  Raises ValueError for a
+    NaN or negative tol.
     """
     _check_tol(tol)
     um = as_array(u, 2)
     if um.shape[0] != um.shape[1]:
         raise ValueError("expected a square matrix")
-    g = f if f.is_reversible else reversible_closure(f)
+    d = enc.ambient_dim
+    g = f if f.is_reversible and len(um) == d**f.arity_in else reversible_closure(f)
     n = g.arity_in
-    dim = enc.ambient_dim**n
-    if um.shape != (dim, dim):
-        raise ValueError(
-            f"matrix dimension {um.shape[0]} does not match d^n = "
-            f"{enc.ambient_dim}^{n} = {dim}"
-        )
+    dim = d**n
+    if len(um) != dim:
+        expected = f"d^n = {d}^{n} = {dim}"
+        if f.is_reversible:
+            m = f.arity_in
+            expected = f"d^n = {d}^{m} = {d**m}, nor the reversible closure's {d}^{n} = {dim}"
+        raise ValueError(f"matrix dimension {len(um)} does not match {expected}")
     unit_res = _unitarity_residual(um)
     # A u with entries far from unit scale has a unitarity residual above 1.
     # Only such a u pays for the search of its largest entry, and only an

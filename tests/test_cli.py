@@ -297,6 +297,19 @@ class TestVerify:
         if expected == 2:
             assert err
 
+    @pytest.mark.parametrize("encoding", ["qubit", "qutrit", "ququart", "matrix2", "pauli"])
+    def test_closure_matrix_of_a_bijection(self, capsys, tmp_path, encoding):
+        """The XOR closure of not.tt on two bits, the gate
+        quantize_irreversible builds from it, verifies against not.tt."""
+        with open(fx("not.tt")) as fh:
+            f = qlift.io.parse_truth_table(fh.read())
+        gate = qlift.quantize_irreversible(f, qlift.builtin_encoding(encoding)).matrix
+        path = tmp_path / "closure.mat"
+        path.write_text(qlift.io.format_matrix(gate))
+        code, out, err = run_cli(capsys, "verify", str(path), fx("not.tt"), "--encoding", encoding)
+        assert (code, err) == (0, "") and out.startswith("verdict: true\n")
+        assert out.count("logical subspace") == 4
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "1_0", "inf", "1e400", "\u0661", ""])
     def test_bad_tol_is_parse_error(self, capsys, tol):
         code, out, err = run_cli(capsys, "verify", fx("x.mat"), fx("not.tt"), "--tol", tol)

@@ -496,6 +496,90 @@ class TestPermutation:
         assert la._unitarity_residual(a * 2.0**exponent) == pytest.approx(expected, rel=1e-12)
 
 
+def split_matrix(n, lone, rows, cols, kind, exponent, layout, seed):
+    """2**exponent times a random row and column permutation of
+    block-diag(M, D, 0): M a lone-by-lone diagonal of `kind` ("one": exactly
+    1, "unit": exactly 1, -1, i or -i, "phase": e^{i theta}, "modulus": a
+    modulus in [0.5, 0.99] or [1.01, 2] times a phase), D a rows x cols
+    complex Gaussian block, and zero rows and columns for the rest of n.
+    Laid out in C or F order, as a transposed view ("T") or as a view with
+    a column stride of two ("strided")."""
+    rng = np.random.default_rng(seed)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, lone))
+    values = {
+        "one": np.ones(lone),
+        "unit": rng.choice(np.array([1, -1, 1j, -1j]), lone),
+        "phase": phase,
+        "modulus": rng.uniform(1.01, 2.0, lone) ** rng.choice([-1.0, 1.0], lone) * phase,
+    }[kind]
+    m = np.zeros((n, n), dtype=complex)
+    m[np.arange(lone), np.arange(lone)] = values
+    m[lone : lone + rows, lone : lone + cols] = random_complex(rng, (rows, cols)) / math.sqrt(max(rows, 1))
+    m = m[rng.permutation(n)][:, rng.permutation(n)] * 2.0**exponent
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "T":
+        return m.T
+    if layout == "strided":
+        return np.repeat(m, 2, axis=1)[:, ::2]
+    return m
+
+
+@st.composite
+def split_specs(draw):
+    n = draw(st.integers(1, 130))
+    lone = draw(st.integers(0, n))
+    rows, cols = draw(st.integers(0, n - lone)), draw(st.integers(0, n - lone))
+    kind = draw(st.sampled_from(["one", "unit", "phase", "modulus"]))
+    exponent = draw(st.sampled_from([0, 250, -250]))
+    layout = draw(st.sampled_from(["C", "F", "T", "strided"]))
+    return n, lone, rows, cols, kind, exponent, layout, draw(seeds)
+
+
+class TestUnitarityResidual:
+    @given(split_specs())
+    @example((130, 130, 0, 0, "one", 0, "F", 0))
+    @example((129, 129, 0, 0, "unit", 0, "T", 1))
+    @example((130, 0, 130, 130, "one", 0, "C", 2))
+    @example((130, 60, 70, 66, "modulus", 250, "strided", 3))
+    @example((130, 40, 1, 80, "phase", -250, "C", 4))
+    @example((9, 4, 1, 5, "unit", 0, "F", 5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_whole_gram_matrix(self, spec):
+        """Lone columns split off and the rest in half strips give
+        ||a^dagger a - I||_F of the whole Gram matrix, at any scale and
+        memory layout, and exactly 0 for an exact permutation (entries 1,
+        or 1, -1, i, -i, with nothing else in the matrix)."""
+        n, lone, rows, cols, kind, exponent, _, _ = spec
+        a = split_matrix(*spec)
+        got = la._unitarity_residual(a)
+        b = a * 2.0**-exponent
+        expected = np.linalg.norm(b.conj().T @ b - 4.0**-exponent * np.eye(n)) * 4.0**exponent
+        if lone == n and kind in ("one", "unit") and exponent == 0:
+            assert got == 0.0
+        # An entry e^{i theta} has modulus 1 only to a unit of roundoff, and
+        # (|v|^2 - 1)^2 is taken from one entry here and from a sum there.
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-13)
+
+    def test_holds_no_matrix_sized_temporary(self):
+        """On 1024 x 1024 inputs (16 MiB) is_unitary peaks below 3/8 of one
+        matrix: a mask of nonzeros (1/16), strips of 64 columns, and no
+        abs(a) (1/2), for a dense unitary and for a permutation with one
+        dense column, which has no lone column."""
+        rng = np.random.default_rng(8)
+        dense = functools.reduce(np.kron, [random_unitary(rng, 4) for _ in range(5)])
+        mixed = permutation_matrix(rng.permutation(1024))
+        mixed[:, 5] = random_unitary(rng, 1024)[:, 0]
+        for m, unitary in [(dense, True), (mixed, False)]:
+            tracemalloc.start()
+            try:
+                assert la.is_unitary(m, 1e-9) == unitary
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.375 * m.nbytes
+
+
 def closed_form_cycle_root(length):
     """Column 0 of the root of the length-cycle shift, in 40 digits: the
     geometric sum (1/L) sum_k q^k over k in (-L/2, L/2], q = e^{i pi (1 -

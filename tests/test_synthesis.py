@@ -332,9 +332,26 @@ class TestIsQuantizationOf:
         assert sy.is_quantization_of(gate, always_one, QUBIT, 1e-9)
         assert not sy.is_quantization_of(np.eye(4), always_one, QUBIT, 1e-9)
 
+    @pytest.mark.parametrize("enc", [QUBIT, QUTRIT, QUQUART, en.builtin_encoding("pauli")])
+    @pytest.mark.parametrize("h", [sy.ClassicalFunction.identity(1), NEGATION, CONDITIONAL_NOT])
+    def test_bijection_checks_against_closure_at_its_dimension(self, enc, h):
+        """quantize_irreversible of a bijection builds its closure on 2m
+        bits; a matrix of that dimension is checked against the closure, one
+        of d^m against h itself."""
+        closed = sy.quantize_irreversible(h, enc).matrix
+        report = sy.quantization_report(closed, h, enc, 1e-9)
+        assert report.ok and len(report.subspace_checks) == 4**h.arity_in
+        assert report == sy.quantization_report(closed, sy.reversible_closure(h), enc, 1e-9)
+        own = sy.quantization_report(sy.quantize_reversible(h, enc).matrix, h, enc, 1e-9)
+        assert own.ok and len(own.subspace_checks) == 2**h.arity_in
+        assert not sy.is_quantization_of(np.eye(len(closed)), h, enc, 1e-9)
+
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
+        both = "does not match d\\^n = 2\\^1 = 2, nor the reversible closure's 2\\^2 = 4"
+        with pytest.raises(ValueError, match=both):
             sy.is_quantization_of(np.eye(3), NEGATION, QUBIT, 1e-9)
+        with pytest.raises(ValueError, match="does not match d\\^n = 2\\^2 = 4$"):
+            sy.is_quantization_of(np.eye(3), sy.ClassicalFunction.constant(1, "1"), QUBIT, 1e-9)
         with pytest.raises(ValueError, match="square"):
             sy.quantization_report(np.ones((2, 3)), NEGATION, QUBIT, 1e-9)
 
