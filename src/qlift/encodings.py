@@ -223,22 +223,26 @@ def builtin_encoding(name: str) -> Encoding:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(enc: Encoding, n: int) -> tuple[np.ndarray, bool]:
+def _layout(enc: Encoding, n: int) -> tuple[np.ndarray, bool, np.ndarray]:
     """The one layout of the logical subspaces of n subsystems: a read-only
-    (2**n, k**n) table and whether enc.frame is a permutation matrix.  Row x
-    lists the columns of W = frame^(kron n) spanning bit string x's
-    subspace, in logical_subspace's column order; a column in no row has a
-    fixed factor.  Column j = (j_1 .. j_n) in base d is frame label j, or,
-    under a permutation frame sigma, ambient index sum_i sigma[j_i] d^(n-i),
-    in which numbering W = I."""
+    (2**n, k**n) table, whether enc.frame is a permutation matrix, and the
+    read-only group map of length d**n.  Row x of the table lists the
+    columns of W = frame^(kron n) spanning bit string x's subspace, in
+    logical_subspace's column order; group[j] is the row holding column j,
+    or 2**n for a column in no row, which has a fixed factor.  Column j =
+    (j_1 .. j_n) in base d is frame label j, or, under a permutation frame
+    sigma, ambient index sum_i sigma[j_i] d^(n-i), in which numbering W = I."""
     d, k = enc.ambient_dim, enc.bit_dim
     sigma = _permutation(enc.frame)
     digits = (np.arange(d) if sigma is None else sigma)[: 2 * k]
     corner = functools.reduce(lambda a, b: (a[:, None] * d + b).reshape(-1), [digits] * n)
     bit_major = corner.reshape((2, k) * n).transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
     table = bit_major.reshape(2**n, k**n)
+    group = np.full(d**n, 2**n)
+    group[table] = np.arange(2**n)[:, None]
     table.setflags(write=False)
-    return table, sigma is not None
+    group.setflags(write=False)
+    return table, sigma is not None, group
 
 
 def encode_bits(enc: Encoding, bits: str) -> QuantumState:
@@ -283,8 +287,8 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     Logical(b) if the projection onto the subspace of b carries at least
     (1-tol) of the squared norm (the lowest such b on ties); outside the code
     if the projection onto the span of all logical subspaces carries less
-    than (1-tol); superposition otherwise.  The weights are summed over each
-    bit string's row of the layout (_layout) in the frame basis, so no
+    than (1-tol); superposition otherwise.  The weights are the squared
+    frame coefficients summed by group of the layout (_layout), so no
     d^n-row subspace basis is built.  Raises ValueError for a NaN or
     negative tol.
     """
@@ -292,10 +296,10 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     if s.encoding is not enc and s.encoding != enc:
         raise ValueError("state was prepared under a different encoding")
     n = s.subsystem_count
-    table, aligned = _layout(enc, n)
+    _, aligned, group = _layout(enc, n)
     psi = s.normalized()
     coeffs = psi if aligned else _kron_apply([enc.frame.conj().T] * n, psi)
-    weights = (np.abs(coeffs) ** 2)[table].sum(axis=1)
+    weights = np.bincount(group, np.abs(coeffs) ** 2, minlength=2**n + 1)[:-1]
     best = int(np.argmax(weights))
     if weights[best] >= 1.0 - tol:
         return StateClassification(StateKind.LOGICAL, _bit_strings(n, [best])[0])

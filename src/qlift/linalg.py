@@ -142,7 +142,7 @@ def _prescale(x: np.ndarray, extreme_only: bool = False) -> tuple[np.ndarray, in
     square or product of scaled entries overflows.  With extreme_only, an x
     with |e| <= _GRAM_EXP, whose squares need no scaling, is returned as is."""
     f = np.ascontiguousarray(x).view(np.float64)
-    _, e = math.frexp(float(np.max(np.abs(f), initial=0.0)))
+    _, e = math.frexp(float(max(f.max(initial=0.0), -f.min(initial=0.0))))
     if extreme_only and abs(e) <= _GRAM_EXP:
         return x, 0
     return np.ldexp(f, -e).view(x.dtype), e
@@ -168,16 +168,16 @@ def _unitarity_residual(a: np.ndarray) -> float:
     """||a^dagger a - I||_F for a square matrix, inf beyond the double range;
     exactly 0.0 for a permutation matrix.
 
-    A column is lone when it has one nonzero entry and that entry is the
-    only nonzero in its row.  It meets no other column in a^dagger a and
-    adds (|a_ij|^2 - 1)^2 to the squared residual, which is exactly 0 for an
-    entry 1.  The Gram matrix is formed only over the other columns, b: a
-    itself when no column is lone, else a copy of those columns, with no
-    rows dropped, since b is zero on the rows of lone entries.  Of that
-    Gram matrix only the upper block triangle is formed, _GRAM_STRIP
-    columns of b at a time against those from the strip on: the strip's
-    diagonal block counts once and the block beyond it twice.  Norms are
-    combined with math.hypot, as their squares could overflow.
+    A column is lone when it holds a lone entry a_ij (_lone_entries).  It
+    meets no other column in a^dagger a and adds (|a_ij|^2 - 1)^2 to the
+    squared residual, which is exactly 0 for an entry 1.  The Gram matrix
+    is formed only over the other columns, b: a itself when no column is
+    lone, else a copy of those columns, with no rows dropped, since b is
+    zero on the rows of lone entries.  Of that Gram matrix only the upper
+    block triangle is formed, _GRAM_STRIP columns of b at a time against
+    those from the strip on: the strip's diagonal block counts once and the
+    block beyond it twice.  Norms are combined with math.hypot, as their
+    squares could overflow.
 
     A largest entry of 2**e with e above _GRAM_EXP is scaled by 2**-k, k =
     e - _GRAM_EXP, first: then a^dagger a - I = 4**k (c^dagger c - 4**-k I)
@@ -185,19 +185,15 @@ def _unitarity_residual(a: np.ndarray) -> float:
     harm, as it is subtracted from I.  The largest entry of b is searched
     one strip at a time, so that the search makes no temporary the size of
     a."""
-    nz = a != 0
-    # col[i] is row i's first nonzero column, and lone[i] marks a row whose
-    # one nonzero entry is also the only one in its column col[i].
-    col = nz.argmax(1)
-    lone = nz.sum(1) * nz.sum(0)[col] == 1
-    single = abs(a[lone, col[lone]])
+    rows, lone = _lone_entries(a)
+    single = abs(a[rows, lone])
     # b holds the cols columns that are not lone: all of a, none of it, or
     # a copy of the rest.
     cols = len(a) - len(single)
     b = a[:, :cols]
     if len(single) and cols:
         rest = np.ones(len(a), dtype=bool)
-        rest[col[lone]] = False
+        rest[lone] = False
         b = a[:, rest]
     top = single.max(initial=0.0)
     for j in range(0, cols, _GRAM_STRIP):
@@ -223,6 +219,16 @@ def _unitarity_residual(a: np.ndarray) -> float:
     return _ldexp(total, 2 * k)
 
 
+def _lone_entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the lone entries of a matrix, in row order: nonzero
+    entries alone in both their row and their column."""
+    nz = a != 0
+    # col[i] is row i's first nonzero column, lone when alone in both.
+    col = nz.argmax(1)
+    rows = np.flatnonzero(nz.sum(1) * nz.sum(0)[col] == 1)
+    return rows, col[rows]
+
+
 def _frobenius(x: np.ndarray) -> float:
     """Frobenius norm of a complex array, unscaled."""
     return math.sqrt(np.vdot(x, x).real)
@@ -231,19 +237,15 @@ def _frobenius(x: np.ndarray) -> float:
 def _permutation(m: np.ndarray) -> np.ndarray | None:
     """The one-line map p of a permutation matrix, m = eye(n)[:, p] (column
     j goes to row p[j]), or None unless the square matrix m is exactly one:
-    n nonzero entries, each exactly 1, one in every row and every column.
-    A dense m is refused after one count, with nothing allocated."""
-    n = len(m)
-    if np.count_nonzero(m) != n:
+    a lone entry (_lone_entries) in every row, each exactly 1.  A dense m is
+    refused after one count, with nothing allocated."""
+    if np.count_nonzero(m) != len(m):
         return None
-    # np.nonzero lists the entries in row-major order for any memory layout,
-    # so one per row leaves the rows 0, 1, ..., n-1.
-    rows, cols = np.nonzero(m)
-    if not (np.array_equal(rows, np.arange(n)) and (m[rows, cols] == 1).all()):
+    rows, cols = _lone_entries(m)
+    if len(rows) != len(m) or not (m[rows, cols] == 1).all():
         return None
-    p = np.full(n, -1)
-    p[cols] = rows
-    return p if (p >= 0).all() else None
+    # Row i's one 1 sits in column cols[i], so p inverts cols.
+    return np.argsort(cols)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:

@@ -170,7 +170,7 @@ def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
     unchecked.  Under a permutation frame W = I and P is the gate."""
     n = f.arity_in
     dim = enc.ambient_dim**n
-    table, aligned = _layout(enc, n)
+    table, aligned, _ = _layout(enc, n)
     # Column j of x's row goes to column j of f(x)'s; the other columns stay.
     image = np.arange(dim)
     image[table] = table[f.image]
@@ -308,34 +308,32 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     # Only such a u pays for the search of its largest entry, and only an
     # extreme one is copied (a copy adds a matrix to peak memory) and scaled.
     scaled, e = _prescale(um, extreme_only=True) if unit_res > 1.0 else (um, 0)
-    # Squared entries of W^dagger u W, W = frame^(kron n): sq[i, j] is how
-    # much of W's column j lands on column i, and mass[i, x] how much of x's
-    # row of the layout does (indexing, unlike np.take, leaves i the
-    # innermost axis, so the column sums below are pairwise).  A leak is the
-    # mass that lands outside the target row, summed with the target zeroed:
-    # subtracting it from a column total of k^n would leave ~1e-8 of
-    # rounding after the sqrt.  Under a permutation frame W = I in the
-    # layout's numbering, so sq is abs(u) squared in place.
-    table, aligned = _layout(enc, n)
-    if aligned:
-        sq = np.abs(scaled)
-        sq *= sq
-    else:
+    # Column j of c = W^dagger u W (W = frame^(kron n), or I in the layout's
+    # numbering under a permutation frame) leaks the mass |c_ij|^2 it puts
+    # on rows i outside its target group: f's image of its own, or the fixed
+    # group 2**n.  By group, the leaks are the squared subspace and, last,
+    # complement residuals.  Masking target rows, not subtracting from column
+    # totals, avoids ~1e-8 of rounding after the sqrt.  Taking the rows in
+    # strips of ~2**16 entries bounds the temporaries to about 1 MiB.
+    _, aligned, group = _layout(enc, n)
+    c = scaled
+    if not aligned:
         frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
-        sq = (np.abs(_kron_apply(frames, scaled.reshape(-1))) ** 2).reshape(dim, dim)
-    mass = sq[:, table].sum(axis=2)
-    mass[table[g.image], np.arange(2**n)[:, None]] = 0.0
-    residuals = np.sqrt(mass.sum(axis=0)).tolist()
+        c = _kron_apply(frames, scaled.reshape(-1)).reshape(dim, dim)
+    target = np.append(g.image, 2**n)[group]
+    leak = np.zeros(dim)
+    h = max(1, 2**16 // dim)
+    for i in range(0, dim, h):
+        sq = np.abs(c[i : i + h])
+        sq *= sq
+        sq[group[i : i + h, None] == target] = 0.0
+        leak += sq.sum(axis=0)
+    residuals = np.sqrt(np.bincount(group, leak, minlength=2**n + 1)).tolist()
     if e:
         residuals = [_ldexp(res, e) for res in residuals]
     bits = _bit_strings(n)
     checks = [SubspaceCheck(x, bits[y], res, res <= tol) for x, y, res in zip(bits, g.image, residuals)]
-    # The complement leak: mass moving from columns with a fixed factor onto logical ones.
-    comp_res = None
-    if enc.fixed.shape[1]:
-        leak = sq[table.reshape(-1)]
-        leak[:, table] = 0.0
-        comp_res = _ldexp(float(np.sqrt(leak.sum())), e)
+    comp_res = residuals[-1] if enc.fixed.shape[1] else None
     return QuantizationReport(unit_res <= tol, unit_res, tuple(checks), comp_res, tol)
 
 
@@ -371,15 +369,12 @@ def enumerate_permutation_quantizations(
             f"ambient dimension {dim} exceeds the enumeration cap of {_ENUMERATION_DIM_CAP}"
         )
     # proj[a, b, x] is entry (a, b) of the projector onto the columns of W
-    # in group x: row x of the layout, or for x = 2**n the columns in no row
-    # (the fixed complement).
+    # in group x of the layout; group 2**n is the fixed complement.
     eye = np.eye(dim, dtype=np.complex128)
-    table, aligned = _layout(enc, n)
+    _, aligned, group = _layout(enc, n)
     w = eye if aligned else _kron_apply([enc.frame] * n, eye)
-    group = np.full(dim, len(table))
-    group[table] = np.arange(len(table))[:, None]
-    proj = (w[:, None, :] * w.conj()) @ (group[:, None] == np.arange(len(table) + 1))
-    image = proj[:, :, np.append(f.image, len(table))]
+    proj = (w[:, None, :] * w.conj()) @ (group[:, None] == np.arange(2**n + 1))
+    image = proj[:, :, np.append(f.image, 2**n)]
     bound = np.sqrt(2) * _GATE_TOL
     out = []
 

@@ -104,11 +104,15 @@ def test_label_blocks_pick_the_logical_subspaces(case):
     the identity (ambient indices, under a permutation frame) or of
     frame^(kron n) (frame labels, otherwise) are exactly logical_subspace(x),
     and the columns in no row give fixed_complement's columns, which it
-    lists in label order."""
+    lists in label order.  The read-only group map sends each column to its
+    row, and the columns in no row to 2**n."""
     enc, n = case
-    table, aligned = en._layout(enc, n)
+    table, aligned, group = en._layout(enc, n)
     assert aligned is (enc.name in ALIGNED)
     assert table.shape == (2**n, enc.bit_dim**n) and not table.flags.writeable
+    assert group.shape == (enc.ambient_dim**n,) and not group.flags.writeable
+    assert (group[table] == np.arange(2**n)[:, None]).all()
+    assert (np.delete(group, table.reshape(-1)) == 2**n).all()
     if aligned:
         basis = np.eye(enc.ambient_dim**n)
     else:
@@ -131,13 +135,21 @@ def test_quantize_matches_reference(case):
 
 
 def test_report_matches_reference(case):
+    """Also, where there is a fixed complement, on the gate plus a leak from
+    a fixed direction into a logical one only, and plus one from a logical
+    direction into a fixed one only."""
     enc, n = case
     rng = np.random.default_rng(100 + n)
     dim = enc.ambient_dim**n
     f = sy.ClassicalFunction(n, n, random_bijection_table(rng, n))
     gate = sy.quantize_reversible(f, enc).matrix
     u = random_unitary(rng, dim)
-    for m in (gate, u, gate + 1e-7 * u, np.eye(dim)):
+    matrices = [gate, u, gate + 1e-7 * u, np.eye(dim)]
+    fixed = en.fixed_complement(enc, n)
+    if fixed.shape[1]:
+        a, b = en.logical_subspace(enc, "0" * n)[:, 0], fixed[:, 0]
+        matrices += [gate + 1e-3 * np.outer(a, b.conj()), gate + 1e-3 * np.outer(b, a.conj())]
+    for m in matrices:
         report = sy.quantization_report(m, f, enc, 1e-9)
         checks, comp = reference_report(m, f, enc)
         assert [(c.bits_in, c.bits_out) for c in report.subspace_checks] == [c[:2] for c in checks]
@@ -247,8 +259,8 @@ def test_permutation_frames_match_the_dense_paths(enc, n, seed):
 def test_ququart_n5_holds_about_one_matrix_per_step():
     """At ququart n=5 (d^n = 1024, 16 MiB a matrix) synthesis holds the one
     gate it hands over, and the report, on the gate or a corrupted copy,
-    the real abs of u and its gather; the Kronecker route took four and two
-    matrices."""
+    little beyond u itself, as its leak pass squares one strip of rows at
+    a time; the Kronecker route took four and two matrices."""
     enc = en.builtin_encoding("ququart")
     f = sy.ClassicalFunction(5, 5, random_bijection_table(np.random.default_rng(9), 5))
     tracemalloc.start()

@@ -448,54 +448,6 @@ def permutation_matrix(p):
     return np.eye(len(p), dtype=complex)[:, p]
 
 
-class TestPermutation:
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
-    def test_one_line_map(self, n):
-        p = np.random.default_rng(n).permutation(n)
-        m = permutation_matrix(p)
-        for v in [m, np.asfortranarray(m)]:
-            assert np.array_equal(la._permutation(v), p)
-        assert np.array_equal(la._permutation(m.T), np.argsort(p))
-
-    @pytest.mark.parametrize(
-        "entry,value",
-        [((0, 1), 1 + 1e-16j), ((0, 1), -1.0), ((0, 1), 1 - 1e-16), ((2, 2), 1.0), ((2, 2), 1e-300)],
-    )
-    def test_near_misses(self, entry, value):
-        """Not exactly one 1 per row and column: a complex or negative
-        entry, a rounded 1, or an extra nonzero entry."""
-        m = permutation_matrix([1, 0, 3, 2])
-        m[entry] = value
-        for v in [m, np.asfortranarray(m)]:
-            assert la._permutation(v) is None
-
-    def test_repeated_row(self):
-        """n ones, one per column, but two in row 0 and none in row 3."""
-        m = permutation_matrix([1, 0, 3, 2])
-        m[3, 2], m[0, 2] = 0.0, 1.0
-        for v in [m, np.asfortranarray(m), m.T, np.asfortranarray(m.T)]:
-            assert np.count_nonzero(v) == 4 and la._permutation(v) is None
-
-    def test_dense_and_zero(self):
-        assert la._permutation(H) is None
-        assert la._permutation(np.zeros((3, 3), dtype=complex)) is None
-        assert la._permutation(np.ones((1, 1), dtype=complex) * 1j) is None
-
-    def test_residual_of_a_permutation_is_exactly_zero(self):
-        m = permutation_matrix(np.random.default_rng(3).permutation(130))
-        assert la._unitarity_residual(m) == 0.0 and la.is_unitary(m, 0.0)
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-    @pytest.mark.parametrize("exponent", [0, 250, -250])
-    def test_residual_in_strips(self, n, exponent):
-        """The Gram matrix taken _GRAM_STRIP rows at a time gives the
-        residual of the whole one, at any scale."""
-        rng = np.random.default_rng(n)
-        a = random_unitary(rng, n) + 1e-3 * random_complex(rng, (n, n))
-        expected = np.linalg.norm(a.conj().T @ a - 4.0**-exponent * np.eye(n)) * 4.0**exponent
-        assert la._unitarity_residual(a * 2.0**exponent) == pytest.approx(expected, rel=1e-12)
-
-
 def split_matrix(n, lone, rows, cols, kind, exponent, layout, seed):
     """2**exponent times a random row and column permutation of
     block-diag(M, D, 0): M a lone-by-lone diagonal of `kind` ("one": exactly
@@ -534,6 +486,72 @@ def split_specs(draw):
     exponent = draw(st.sampled_from([0, 250, -250]))
     layout = draw(st.sampled_from(["C", "F", "T", "strided"]))
     return n, lone, rows, cols, kind, exponent, layout, draw(seeds)
+
+
+class TestPermutation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
+    def test_one_line_map(self, n):
+        p = np.random.default_rng(n).permutation(n)
+        m = permutation_matrix(p)
+        for v in [m, np.asfortranarray(m)]:
+            assert np.array_equal(la._permutation(v), p)
+        assert np.array_equal(la._permutation(m.T), np.argsort(p))
+
+    @pytest.mark.parametrize(
+        "entry,value",
+        [((0, 1), 1 + 1e-16j), ((0, 1), -1.0), ((0, 1), 1 - 1e-16), ((2, 2), 1.0), ((2, 2), 1e-300)],
+    )
+    def test_near_misses(self, entry, value):
+        """Not exactly one 1 per row and column: a complex or negative
+        entry, a rounded 1, or an extra nonzero entry."""
+        m = permutation_matrix([1, 0, 3, 2])
+        m[entry] = value
+        for v in [m, np.asfortranarray(m)]:
+            assert la._permutation(v) is None
+
+    def test_repeated_row(self):
+        """n ones, one per column, but two in row 0 and none in row 3."""
+        m = permutation_matrix([1, 0, 3, 2])
+        m[3, 2], m[0, 2] = 0.0, 1.0
+        for v in [m, np.asfortranarray(m), m.T, np.asfortranarray(m.T)]:
+            assert np.count_nonzero(v) == 4 and la._permutation(v) is None
+
+    def test_dense_and_zero(self):
+        assert la._permutation(H) is None
+        assert la._permutation(np.zeros((3, 3), dtype=complex)) is None
+        assert la._permutation(np.ones((1, 1), dtype=complex) * 1j) is None
+
+    @given(split_specs())
+    @example((130, 130, 0, 0, "one", 0, "strided", 0))
+    @example((64, 64, 0, 0, "one", 0, "T", 1))
+    @example((64, 64, 0, 0, "unit", 0, "F", 2))
+    @example((64, 63, 1, 1, "one", 0, "C", 3))
+    @example((64, 63, 1, 0, "one", 0, "C", 4))
+    @settings(max_examples=200, deadline=None)
+    def test_split_matrices(self, spec):
+        """In any memory layout, the map exists exactly when every column
+        holds one nonzero entry, exactly 1, that is alone in its row too."""
+        a = split_matrix(*spec)
+        nz = a != 0
+        lone = (nz.sum(0) == 1).all() and (nz.sum(1) == 1).all() and (a[nz] == 1).all()
+        p = la._permutation(a)
+        assert (p is not None) == lone
+        if lone:
+            assert np.array_equal(permutation_matrix(p), a)
+
+    def test_residual_of_a_permutation_is_exactly_zero(self):
+        m = permutation_matrix(np.random.default_rng(3).permutation(130))
+        assert la._unitarity_residual(m) == 0.0 and la.is_unitary(m, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("exponent", [0, 250, -250])
+    def test_residual_in_strips(self, n, exponent):
+        """The upper block triangle of the Gram matrix, _GRAM_STRIP columns
+        at a time, gives the residual of the whole one, at any scale."""
+        rng = np.random.default_rng(n)
+        a = random_unitary(rng, n) + 1e-3 * random_complex(rng, (n, n))
+        expected = np.linalg.norm(a.conj().T @ a - 4.0**-exponent * np.eye(n)) * 4.0**exponent
+        assert la._unitarity_residual(a * 2.0**exponent) == pytest.approx(expected, rel=1e-12)
 
 
 class TestUnitarityResidual:
