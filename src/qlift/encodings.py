@@ -96,7 +96,8 @@ class Encoding:
         return hash((self.ambient_dim, self.bit_dim, self.fixed.shape[1]))
 
     def __post_init__(self):
-        d = self.ambient_dim
+        d = _count(self.ambient_dim, "ambient dimension")
+        object.__setattr__(self, "ambient_dim", d)
         if d < 2:
             raise ValueError("ambient dimension must be at least 2")
         bases = (self.basis0, self.basis1, [] if self.fixed is None else self.fixed)
@@ -157,7 +158,7 @@ class QuantumState:
                 f"state dimension {amps.size} does not match "
                 f"d^n = {self.encoding.ambient_dim}^{self.subsystem_count}"
             )
-        if _norm(amps) == 0.0:
+        if not amps.any():
             raise ValueError("the zero vector is not a state")
 
     @property
@@ -284,13 +285,13 @@ def fixed_complement(enc: Encoding, n: int) -> np.ndarray:
 def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassification:
     """Classify a state as logical, a superposition, or outside the code.
 
-    Logical(b) if the projection onto the subspace of b carries at least
-    (1-tol) of the squared norm (the lowest such b on ties); outside the code
-    if the projection onto the span of all logical subspaces carries less
-    than (1-tol); superposition otherwise.  The weights are the squared
-    frame coefficients summed by group of the layout (_layout), so no
-    d^n-row subspace basis is built.  Raises ValueError for a NaN or
-    negative tol.
+    Logical(b) if at most tol of the squared norm leaks out of b's subspace,
+    b the heaviest (the lowest on ties); outside the code if more than tol
+    lies in the fixed directions; superposition otherwise.  The weights are
+    the squared frame coefficients summed by group of the layout (_layout);
+    no leak is subtracted from 1, so tol = 0 is decided exactly under a
+    permutation frame (a rotated one leaves roundoff in every group).
+    Raises ValueError for a NaN or negative tol.
     """
     _check_tol(tol)
     if s.encoding is not enc and s.encoding != enc:
@@ -299,10 +300,10 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     _, aligned, group = _layout(enc, n)
     psi = s.normalized()
     coeffs = psi if aligned else _kron_apply([enc.frame.conj().T] * n, psi)
-    weights = np.bincount(group, np.abs(coeffs) ** 2, minlength=2**n + 1)[:-1]
-    best = int(np.argmax(weights))
-    if weights[best] >= 1.0 - tol:
+    weights = np.bincount(group, np.abs(coeffs) ** 2, minlength=2**n + 1)
+    best = int(np.argmax(weights[:-1]))
+    if weights[:best].sum() + weights[best + 1 :].sum() <= tol:
         return StateClassification(StateKind.LOGICAL, _bit_strings(n, [best])[0])
-    if weights.sum() < 1.0 - tol:
+    if weights[-1] > tol:
         return StateClassification(StateKind.OUTSIDE_CODE)
     return StateClassification(StateKind.SUPERPOSITION)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import QuantumState
-from .linalg import _dims, _norm, _unit, as_array, svd, unres
+from .linalg import _dims, _unit, as_array, svd, unres
 
 __all__ = [
     "SchmidtResult",
@@ -76,7 +76,7 @@ def coefficient_matrix(s, dim_a: int, dim_b: int) -> np.ndarray:
 def schmidt(s, dim_a: int, dim_b: int) -> SchmidtResult:
     """Schmidt decomposition of a bipartite state (normalized first)."""
     amps = _amplitudes(s)
-    if _norm(amps) == 0.0:
+    if not amps.any():
         raise ValueError("cannot decompose the zero vector")
     m = coefficient_matrix(_unit(amps), dim_a, dim_b)
     u, vals, v = svd(m)

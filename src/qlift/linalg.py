@@ -237,10 +237,7 @@ def _frobenius(x: np.ndarray) -> float:
 def _permutation(m: np.ndarray) -> np.ndarray | None:
     """The one-line map p of a permutation matrix, m = eye(n)[:, p] (column
     j goes to row p[j]), or None unless the square matrix m is exactly one:
-    a lone entry (_lone_entries) in every row, each exactly 1.  A dense m is
-    refused after one count, with nothing allocated."""
-    if np.count_nonzero(m) != len(m):
-        return None
+    a lone entry (_lone_entries) in every row, each exactly 1."""
     rows, cols = _lone_entries(m)
     if len(rows) != len(m) or not (m[rows, cols] == 1).all():
         return None
@@ -510,7 +507,7 @@ def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
     p = _permutation(a)
     if p is not None:
         return _permutation_sqrt(p)
-    if not is_unitary(a, tol):
+    if not _unitarity_residual(a) <= tol:
         raise ValueError("principal_unitary_sqrt requires a unitary matrix")
     # The eigenphases up to sign are the arccosines of the Hermitian part's
     # eigenvalues.  Rotate u by e^{-i alpha} so that -1 sits mid-way along

@@ -107,21 +107,19 @@ class Circuit:
         given = tuple(self.steps)
         seen: dict[tuple[str, float | None] | int, tuple[np.ndarray | str, np.ndarray]] = {}
         steps, checked = [], []
+        d = self.encoding.ambient_dim
         for step in given:
             named = isinstance(step.gate, str)
             key = (step.gate, step.phi) if named else id(step.gate)
-            fresh = key not in seen
-            if fresh:
+            if key not in seen:
                 gate = step.gate if named else _frozen(np.asarray(step.gate, dtype=np.complex128))
                 gm = named_gate(gate, self.encoding, step.phi) if named else gate
-                seen[key] = gate, tensor_to_matrix(gm) if np.ndim(gm) == 3 else gm
-            gate, gm = seen[key]
-            gm, targets = _check_step(gm, step.targets, self.encoding.ambient_dim, self.width)
-            if fresh:
+                gm, _ = _check_step(tensor_to_matrix(gm) if np.ndim(gm) == 3 else gm, step.targets, d, self.width)
                 if not is_unitary(gm, _GATE_TOL):
                     raise ValueError("gate matrix is not unitary")
-                gm = _frozen(gm)
-                seen[key] = gate, gm
+                seen[key] = gate, _frozen(gm)
+            gate, gm = seen[key]
+            _, targets = _check_step(gm, step.targets, d, self.width)
             steps.append(step if named else CircuitStep(gate, step.targets, step.phi))
             checked.append((gm, targets))
         object.__setattr__(self, "steps", tuple(steps))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _layout
-from .linalg import _GATE_TOL, _check_tol, _frozen, _ldexp, _prescale, _unitarity_residual, as_array
+from .linalg import _GATE_TOL, _check_tol, _count, _frozen, _ldexp, _prescale, _unitarity_residual, as_array
 from .linalg import _kron_apply, is_unitary, principal_unitary_sqrt
 
 __all__ = [
@@ -49,11 +49,13 @@ _MISSING_LISTED = 16
 _MAX_ARITY = 62
 
 
-def _check_arities(arity_in: int, arity_out: int) -> None:
-    """ValueError unless both arities lie in 1.._MAX_ARITY, where 2**arity
-    fits the int64 (np.intp) that holds the image's indices and outputs."""
+def _check_arities(arity_in: int, arity_out: int) -> tuple[int, int]:
+    """The arities as ints (_count), or ValueError unless both lie in
+    1.._MAX_ARITY, where 2**arity fits the np.intp of the image's entries."""
+    arity_in, arity_out = _count(arity_in, "arity"), _count(arity_out, "arity")
     if not (1 <= arity_in <= _MAX_ARITY and 1 <= arity_out <= _MAX_ARITY):
         raise ValueError(f"arities must lie between 1 and {_MAX_ARITY}, got {arity_in} and {arity_out}")
+    return arity_in, arity_out
 
 
 def _missing_inputs(arity: int, inputs) -> tuple[list[str], int]:
@@ -79,8 +81,9 @@ class ClassicalFunction:
     image: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.arity_in
-        _check_arities(m, self.arity_out)
+        m, n = _check_arities(self.arity_in, self.arity_out)
+        object.__setattr__(self, "arity_in", m)
+        object.__setattr__(self, "arity_out", n)
         inputs = _bit_strings(m) if len(self.table) == 2**m else []
         if len(self.table) != 2**m or self.table.keys() != set(inputs):
             extra = sorted(k for k in self.table if not _is_bits(k, m))
@@ -89,7 +92,7 @@ class ClassicalFunction:
             parts += [f"unexpected inputs {extra}"] if extra else []
             raise ValueError("truth table is not total: " + ", ".join(parts))
         for k, v in self.table.items():
-            _check_bits(v, self.arity_out, f"output for {k}")
+            _check_bits(v, n, f"output for {k}")
         object.__setattr__(self, "table", dict(self.table))
         image = np.array([int(self.table[x], 2) for x in inputs], dtype=np.intp)
         image.setflags(write=False)
@@ -219,7 +222,7 @@ def _controlled_block(u) -> np.ndarray:
 def controlled(u) -> np.ndarray:
     """Block matrix diag(I2, u) for a 2x2 unitary u."""
     out = _controlled_block(u)
-    if not is_unitary(out[2:, 2:], _GATE_TOL):
+    if not _unitarity_residual(out[2:, 2:]) <= _GATE_TOL:
         raise ValueError("controlled() expects a unitary matrix")
     return out
 
@@ -433,14 +436,14 @@ def named_gate(name: str, enc: Encoding, phi: float | None = None) -> np.ndarray
 
     NOT and SQRT_NOT are synthesized for the encoding; H, R, CNOT and SWAP are
     fixed qubit-sized matrices (dimension checks happen at application time).
-    R is the one parameterized name and takes the angle `phi`.
+    R, the one parameterized name, takes the angle `phi`; no other name does.
     """
     if name == "R":
         if phi is None:
             raise ValueError("R requires an angle argument")
         return phase_gate(phi)
-    try:
-        make = NAMED_GATES[name]
-    except KeyError:
-        raise ValueError(f"unknown gate name {name!r}") from None
-    return make(enc)
+    if name not in NAMED_GATES:
+        raise ValueError(f"unknown gate name {name!r}")
+    if phi is not None:
+        raise ValueError(f"only R takes an angle, got {phi!r} for {name}")
+    return NAMED_GATES[name](enc)

@@ -135,6 +135,12 @@ class TestBuiltinEncodings:
         with pytest.raises(ValueError, match=match):
             en.Encoding("bad", dim, basis0, basis1)
 
+    def test_ambient_dimension_is_an_integer(self):
+        with pytest.raises(ValueError, match=r"^ambient dimension must be an integer, got 2\.0$"):
+            en.Encoding("x", 2.0, [[1, 0]], [[0, 1]])
+        enc = en.Encoding("x", np.int64(2), [[1, 0]], [[0, 1]])
+        assert type(enc.ambient_dim) is int and enc == en.builtin_encoding("qubit")
+
 
 class TestEncodeBits:
     def test_two_qubits(self):

@@ -174,6 +174,30 @@ def test_classify_matches_reference(case):
             assert en.classify_state(enc, s, tol) == reference_classify(enc, s, tol)
 
 
+@pytest.mark.parametrize(
+    "case",
+    [(enc, n) for enc in ENCODINGS if enc.name in ALIGNED | {"pauli"} for n in (1, 2, 3)],
+    ids=_case_id,
+)
+def test_classify_at_tol_zero(case):
+    """At tol 0 a state spread over two words reads superposition, never
+    outside_code, and under a permutation frame a state inside one word's
+    subspace reads logical: each verdict sums the mass outside a group, with
+    no 1 - tol comparison to round the last bit either way."""
+    enc, n = case
+    rng = np.random.default_rng(400 + n)
+    a = en.encode_bits(enc, "0" * n).amplitudes
+    b = en.encode_bits(enc, "1" * n).amplitudes
+    ones = en.logical_subspace(enc, "1" * n)
+    for _ in range(50):
+        c, d = random_complex(rng, (2,))
+        s = en.QuantumState(c * a + d * b, enc, n)
+        assert en.classify_state(enc, s, 0.0).kind is en.StateKind.SUPERPOSITION
+        if enc.name in ALIGNED:
+            s = en.QuantumState(ones @ random_complex(rng, (ones.shape[1],)), enc, n)
+            assert en.classify_state(enc, s, 0.0) == en.StateClassification(en.StateKind.LOGICAL, "1" * n)
+
+
 class TestSixteenQubits:
     Q = en.builtin_encoding("qubit")
 

@@ -182,6 +182,11 @@ class TestCircuitConstruction:
         with pytest.raises(ValueError, match=match):
             sim.Circuit(QUBIT, 2, (sim.CircuitStep("H", (0,)), step))
 
+    @pytest.mark.parametrize("name,targets", [("H", (0,)), ("NOT", (1,)), ("SWAP", (0, 1))])
+    def test_only_r_takes_an_angle(self, name, targets):
+        with pytest.raises(ValueError, match=rf"^only R takes an angle, got 0\.3 for {name}$"):
+            sim.Circuit(QUBIT, 2, (sim.CircuitStep(name, targets, phi=0.3),))
+
     def test_each_step_resolved_and_checked_once(self, monkeypatch):
         calls = dict.fromkeys(["is_unitary", "named_gate", "QuantumState"], 0)
 

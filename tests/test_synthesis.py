@@ -42,6 +42,13 @@ class TestClassicalFunction:
         with pytest.raises(ValueError):
             sy.ClassicalFunction(1, 1, {"0": "10", "1": "0"})
 
+    @pytest.mark.parametrize("arities", [(1.0, 1), (1, 1.0)])
+    def test_arities_are_integers(self, arities):
+        with pytest.raises(ValueError, match=r"^arity must be an integer, got 1\.0$"):
+            sy.ClassicalFunction(*arities, {"0": "1", "1": "0"})
+        f = sy.ClassicalFunction(np.int64(1), np.int64(1), {"0": "1", "1": "0"})
+        assert type(f.arity_in) is int and type(f.arity_out) is int and f == NEGATION
+
     def test_reversibility_flag(self):
         assert NEGATION.is_reversible
         assert sy.ClassicalFunction.identity(2).is_reversible
