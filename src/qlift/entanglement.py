@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encodings import QuantumState
-from .linalg import _dims, _unit, as_array, svd, unres
+from .linalg import _dims, _unit, as_array, svd
 
 __all__ = [
     "SchmidtResult",
@@ -51,10 +51,7 @@ class SchmidtResult:
     right_basis: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros(self.left_basis.shape[0] * self.right_basis.shape[0], dtype=np.complex128)
-        for k, c in enumerate(self.coefficients):
-            out += c * np.kron(self.left_basis[:, k], self.right_basis[:, k])
-        return out
+        return ((self.left_basis * self.coefficients) @ self.right_basis.T).reshape(-1)
 
 
 class Separability(enum.Enum):
@@ -70,7 +67,7 @@ def coefficient_matrix(s, dim_a: int, dim_b: int) -> np.ndarray:
         raise ValueError(
             f"state dimension {amps.size} does not factor as {dim_a} x {dim_b}"
         )
-    return unres(amps, dim_a, dim_b)
+    return amps.reshape(dim_a, dim_b)
 
 
 def schmidt(s, dim_a: int, dim_b: int) -> SchmidtResult:

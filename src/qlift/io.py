@@ -307,7 +307,6 @@ class Statement:
     gate_text: str
     targets: tuple[int, ...]
     matrix: np.ndarray = field(compare=False)
-    line: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -417,7 +416,7 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
         except (ValueError, OSError) as exc:
             diagnostics.append(Diagnostic(ln, gate_col, str(exc)))
             continue
-        statements.append(Statement(gate_tok, checked, matrix, ln))
+        statements.append(Statement(gate_tok, checked, matrix))
 
     if diagnostics:
         raise ParseError(diagnostics)

@@ -286,6 +286,8 @@ def kron_apply(mats, x) -> np.ndarray:
     with factors at opposite extreme scales.  Raises ValueError for NaN or
     Inf entries and if an entry of the result exceeds the double range.
     """
+    if any(np.ndim(a) != 2 for a in mats):
+        raise ValueError(f"kron_apply factors must be matrices, got shapes {[np.shape(a) for a in mats]}")
     parts = [_prescale(np.asarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)) for a in (*mats, x)]
     if not all(np.isfinite(a).all() for a, _ in parts):
         raise ValueError("kron_apply operand contains NaN or Inf entries")
@@ -565,7 +567,7 @@ def tensor_apply(t, x) -> np.ndarray:
     y = np.einsum("ijk,ji->k", tt, xm)
     if not np.isfinite(y).all():
         raise ValueError("tensor_apply result exceeds the double range")
-    return unres(y, xm.shape[0], xm.shape[1])
+    return y.reshape(xm.shape)
 
 
 def tensor_to_matrix(t) -> np.ndarray:

@@ -139,8 +139,8 @@ def _fold(c: Circuit, amplitudes: np.ndarray) -> QuantumState:
 
 
 def apply_gate(s: QuantumState, g, targets) -> QuantumState:
-    """Apply a gate matrix to the given target subsystems of a state."""
-    step = CircuitStep(as_array(g, 2), targets)
+    """Apply any gate a CircuitStep takes to the given target subsystems."""
+    step = CircuitStep(g, targets)
     return _fold(Circuit(s.encoding, s.subsystem_count, (step,)), s.amplitudes)
 
 

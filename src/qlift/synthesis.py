@@ -20,7 +20,7 @@ import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _layout
 from .linalg import _GATE_TOL, _check_tol, _count, _frozen, _ldexp, _prescale, _unitarity_residual, as_array
-from .linalg import _kron_apply, is_unitary, principal_unitary_sqrt
+from .linalg import _kron_apply, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -157,13 +157,11 @@ class SynthesizedGate:
     matrix: np.ndarray
     encoding: Encoding
     source: ClassicalFunction
-    rule: str
-    subsystem_count: int
 
     def __post_init__(self):
         m = _frozen(as_array(self.matrix, 2))
         object.__setattr__(self, "matrix", m)
-        if not is_unitary(m, _GATE_TOL):
+        if m.shape[0] != m.shape[1] or not _unitarity_residual(m) <= _GATE_TOL:
             raise ValueError("synthesized gate is not unitary")
 
 
@@ -198,13 +196,12 @@ def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
             "function is not reversible (not a bijection with equal arities); "
             "use quantize_irreversible for the XOR-target construction"
         )
-    return SynthesizedGate(_reversible_matrix(f, enc), enc, f, "reversible", f.arity_in)
+    return SynthesizedGate(_reversible_matrix(f, enc), enc, f)
 
 
 def quantize_irreversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
     """Gate on m+n subsystems implementing |x>|y> -> |x>|f(x) xor y>."""
-    closed = reversible_closure(f)
-    return SynthesizedGate(_reversible_matrix(closed, enc), enc, f, "irreversible", closed.arity_in)
+    return SynthesizedGate(_reversible_matrix(reversible_closure(f), enc), enc, f)
 
 
 def _controlled_block(u) -> np.ndarray:
@@ -403,10 +400,10 @@ def hadamard() -> np.ndarray:
 
 
 def phase_gate(phi: float) -> np.ndarray:
-    """diag(1, e^{i phi})."""
-    if not np.isfinite(phi):
-        raise ValueError(f"phase angle must be finite, got {phi!r}")
-    return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=np.complex128)
+    """diag(1, e^{i phi}) for a real angle phi."""
+    if not (isinstance(phi, (int, float, np.integer, np.floating)) and -np.inf < phi < np.inf):
+        raise ValueError(f"phase angle must be a finite real number, got {phi!r}")
+    return np.array([[1, 0], [0, np.exp(1j * float(phi))]], dtype=np.complex128)
 
 
 def cnot() -> np.ndarray:

@@ -358,6 +358,28 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "1.0+0.0i" in proc.stdout
 
+    def test_closed_stdout_ends_silently(self, tmp_path):
+        """A reader that stops early is no input error: the command ends
+        with exit 1 and writes nothing to stderr, at exit or before."""
+        rng = np.random.default_rng(9)
+        rows = (f"{x:09b} -> {y:09b}" for x, y in enumerate(rng.permutation(512)))
+        table = tmp_path / "big.tt"
+        table.write_text("in 9 out 9\n" + "\n".join(rows) + "\n")
+        src = os.path.dirname(os.path.dirname(qlift.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qlift", "synth", str(table)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_help_mentions_h_normalization(self):
         proc = run_module("--help")
         assert proc.returncode == 0

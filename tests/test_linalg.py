@@ -117,6 +117,12 @@ class TestKronApply:
         with pytest.raises(ValueError, match="column counts"):
             la.kron_apply([np.eye(2)], np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("factor", [np.ones(2), np.ones((2, 2, 2)), np.float64(2.0)])
+    def test_factors_must_be_matrices(self, factor):
+        with pytest.raises(ValueError, match="factors must be matrices") as info:
+            la.kron_apply([np.eye(1), factor], np.ones(2))
+        assert str(np.shape(factor)) in str(info.value)
+
     def test_product_beyond_double_range_rejected(self):
         with pytest.raises(ValueError, match="double range"):
             la.kron_apply([np.eye(2) * 1e200] * 2, np.ones(4) * 1e200)

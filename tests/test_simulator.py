@@ -70,6 +70,19 @@ class TestApplyGate:
         out = sim.apply_gate(s, sy.cnot(), np.array([0, 1]))
         assert np.array_equal(out.amplitudes, en.encode_bits(QUBIT, "11").amplitudes)
 
+    def test_takes_any_gate_a_circuit_step_takes(self):
+        """A builtin name or a gate tensor acts exactly as its matrix does."""
+        rng = np.random.default_rng(19)
+        s = en.QuantumState(random_complex(rng, (4,)), QUBIT, 2)
+        for name, matrix in (("H", sy.hadamard()), ("NOT", sy.named_gate("NOT", QUBIT))):
+            for targets in ((0,), (1,)):
+                want = sim.apply_gate(s, matrix, targets).amplitudes
+                assert np.array_equal(sim.apply_gate(s, name, targets).amplitudes, want)
+        g = sy.named_gate("NOT", MATRIX2)
+        s = en.QuantumState(random_complex(rng, (16,)), MATRIX2, 2)
+        got = sim.apply_gate(s, la.matrix_to_tensor(g, 2, 2), (1,)).amplitudes
+        assert np.array_equal(got, sim.apply_gate(s, g, (1,)).amplitudes)
+
 
 class TestTensorGate:
     # Slices of the printed (2,2,4) flip tensor.
@@ -181,6 +194,11 @@ class TestCircuitConstruction:
     def test_bad_step_raises_when_built(self, step, match):
         with pytest.raises(ValueError, match=match):
             sim.Circuit(QUBIT, 2, (sim.CircuitStep("H", (0,)), step))
+
+    @pytest.mark.parametrize("phi", [1j, np.complex128(0.3), "0.3"])
+    def test_r_angle_must_be_real(self, phi):
+        with pytest.raises(ValueError, match="phase angle must be a finite real number"):
+            sim.Circuit(QUBIT, 1, (sim.CircuitStep("R", (0,), phi=phi),))
 
     @pytest.mark.parametrize("name,targets", [("H", (0,)), ("NOT", (1,)), ("SWAP", (0, 1))])
     def test_only_r_takes_an_angle(self, name, targets):

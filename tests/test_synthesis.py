@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 
@@ -101,7 +102,18 @@ class TestQuantizeReversible:
 
     def test_non_unitary_gate_rejected(self):
         with pytest.raises(ValueError, match="synthesized gate is not unitary"):
-            sy.SynthesizedGate(np.ones((2, 2)), QUBIT, NEGATION, "reversible", 1)
+            sy.SynthesizedGate(np.ones((2, 2)), QUBIT, NEGATION)
+
+    def test_gate_holds_matrix_encoding_and_source_only(self):
+        names = [f.name for f in dataclasses.fields(sy.SynthesizedGate)]
+        assert names == ["matrix", "encoding", "source"]
+        gate = sy.SynthesizedGate(X, QUBIT, NEGATION)
+        assert np.array_equal(gate.matrix, X) and gate.encoding is QUBIT and gate.source is NEGATION
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 2), (1, 2)])
+    def test_non_square_gate_rejected(self, shape):
+        with pytest.raises(ValueError, match="synthesized gate is not unitary"):
+            sy.SynthesizedGate(np.eye(*shape), QUBIT, NEGATION)
 
     def test_gate_holds_synthesis_matrix_and_copies_a_callers(self):
         """Synthesis hands its read-only matrix over uncopied; a caller's
@@ -110,7 +122,7 @@ class TestQuantizeReversible:
         for enc in (QUBIT, en.builtin_encoding("pauli")):
             built = sy.quantize_reversible(NEGATION, enc).matrix
             assert built.flags.owndata and not built.flags.writeable
-            assert sy.SynthesizedGate(built, enc, NEGATION, "reversible", 1).matrix is built
+            assert sy.SynthesizedGate(built, enc, NEGATION).matrix is built
 
         def read_only_view(a):
             view = a.view()
@@ -119,7 +131,7 @@ class TestQuantizeReversible:
 
         for make in (lambda a: a, lambda a: a[:, :], read_only_view):
             a = X.copy()
-            gate = sy.SynthesizedGate(make(a), QUBIT, NEGATION, "reversible", 1)
+            gate = sy.SynthesizedGate(make(a), QUBIT, NEGATION)
             a[...] = np.eye(2)
             assert np.array_equal(gate.matrix, X) and not gate.matrix.flags.writeable
 
@@ -255,7 +267,7 @@ class TestOneGateTolerance:
         Circuit(QUBIT, 2, [CircuitStep(sy._controlled_block(self.U), (0, 1))])
 
     def test_synthesized_gate_accepts_what_circuits_and_roots_accept(self):
-        gate = sy.SynthesizedGate(self.U, QUBIT, NEGATION, "reversible", 1)
+        gate = sy.SynthesizedGate(self.U, QUBIT, NEGATION)
         assert np.array_equal(gate.matrix, self.U)
         Circuit(QUBIT, 1, [CircuitStep(self.U, (0,))])
         la.principal_unitary_sqrt(self.U)
@@ -264,7 +276,7 @@ class TestOneGateTolerance:
         with pytest.raises(ValueError, match="expects a unitary matrix"):
             sy.controlled(self.V)
         with pytest.raises(ValueError, match="synthesized gate is not unitary"):
-            sy.SynthesizedGate(self.V, QUBIT, NEGATION, "reversible", 1)
+            sy.SynthesizedGate(self.V, QUBIT, NEGATION)
         with pytest.raises(ValueError, match="gate matrix is not unitary"):
             Circuit(QUBIT, 1, [CircuitStep(self.V, (0,))])
         with pytest.raises(ValueError, match="requires a unitary matrix"):
@@ -587,6 +599,18 @@ class TestNamedGates:
         for phi in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sy.phase_gate(phi)
+
+    @pytest.mark.parametrize("phi", [1j, np.complex128(0.3), "0.3"])
+    def test_angle_must_be_real(self, phi):
+        for resolve in (sy.phase_gate, lambda phi: sy.named_gate("R", QUBIT, phi)):
+            with pytest.raises(ValueError, match="phase angle must be a finite real number"):
+                resolve(phi)
+
+    @pytest.mark.parametrize("phi", [np.float64(0.3), np.int64(2), 2, 0.3, np.float32(0.5)])
+    def test_numpy_and_python_real_angles_accepted(self, phi):
+        want = np.array([[1, 0], [0, np.exp(1j * float(phi))]])
+        assert np.array_equal(sy.phase_gate(phi), want)
+        assert np.array_equal(sy.named_gate("R", QUBIT, phi), want)
 
     def test_named_resolution(self):
         assert np.array_equal(sy.named_gate("NOT", QUTRIT), NOT3)
