@@ -20,7 +20,7 @@ import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _layout
 from .linalg import _GATE_TOL, _check_tol, _count, _frozen, _ldexp, _prescale, _unitarity_residual, as_array
-from .linalg import _kron_apply, principal_unitary_sqrt
+from .linalg import _kron_apply, _lone_entries, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -303,31 +303,53 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
             m = f.arity_in
             expected = f"d^n = {d}^{m} = {d**m}, nor the reversible closure's {d}^{n} = {dim}"
         raise ValueError(f"matrix dimension {len(um)} does not match {expected}")
-    unit_res = _unitarity_residual(um)
+    # Under a permutation frame one split of u serves the residual and the leaks.
+    _, aligned, group = _layout(enc, n)
+    split = _lone_entries(um) if aligned else None
+    unit_res = _unitarity_residual(um, split)
     # A u with entries far from unit scale has a unitarity residual above 1.
     # Only such a u pays for the search of its largest entry, and only an
     # extreme one is copied (a copy adds a matrix to peak memory) and scaled.
+    # Scaling by a power of two adds no nonzero entry, so u's split holds for
+    # the copy: an entry that underflows leaks 0 either way.
     scaled, e = _prescale(um, extreme_only=True) if unit_res > 1.0 else (um, 0)
     # Column j of c = W^dagger u W (W = frame^(kron n), or I in the layout's
     # numbering under a permutation frame) leaks the mass |c_ij|^2 it puts
     # on rows i outside its target group: f's image of its own, or the fixed
     # group 2**n.  By group, the leaks are the squared subspace and, last,
-    # complement residuals.  Masking target rows, not subtracting from column
-    # totals, avoids ~1e-8 of rounding after the sqrt.  Taking the rows in
-    # strips of ~2**16 entries bounds the temporaries to about 1 MiB.
-    _, aligned, group = _layout(enc, n)
+    # complement residuals.  A lone column (_lone_entries) leaks its one
+    # entry's mass or nothing.  The other columns, all of c when none is
+    # lone, are masked on their target rows, not subtracted from column
+    # totals, which avoids ~1e-8 of rounding after the sqrt; taking the rows
+    # in strips of ~2**16 entries bounds the temporaries to about 1 MiB.
     c = scaled
     if not aligned:
         frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
         c = _kron_apply(frames, scaled.reshape(-1)).reshape(dim, dim)
     target = np.append(g.image, 2**n)[group]
     leak = np.zeros(dim)
-    h = max(1, 2**16 // dim)
-    for i in range(0, dim, h):
-        sq = np.abs(c[i : i + h])
+    free = np.ones(dim, dtype=bool)  # the columns that are not lone
+    if aligned:
+        rows, lone = split
+        sq = np.abs(c[rows, lone])
         sq *= sq
-        sq[group[i : i + h, None] == target] = 0.0
-        leak += sq.sum(axis=0)
+        sq[group[rows] == target[lone]] = 0.0
+        leak[lone] = sq
+        free[lone] = False
+    rest = free.nonzero()[0]
+    h = max(1, 2**16 // dim)
+    # The other columns are gathered in c's memory order (take keeps rows
+    # contiguous, [:, rest] columns), so that each sums its rows in the
+    # order of the strip pass over all of c, bit for bit.
+    by_rows = abs(c.strides[0]) >= abs(c.strides[1])
+    for i in range(0, dim if len(rest) else 0, h):
+        sq = c[i : i + h]
+        if len(rest) < dim:
+            sq = sq.take(rest, axis=1) if by_rows else sq[:, rest]
+        sq = np.abs(sq)
+        sq *= sq
+        sq[group[i : i + h, None] == target[rest]] = 0.0
+        leak[rest] += sq.sum(axis=0)
     residuals = np.sqrt(np.bincount(group, leak, minlength=2**n + 1)).tolist()
     if e:
         residuals = [_ldexp(res, e) for res in residuals]
@@ -400,10 +422,15 @@ def hadamard() -> np.ndarray:
 
 
 def phase_gate(phi: float) -> np.ndarray:
-    """diag(1, e^{i phi}) for a real angle phi."""
-    if not (isinstance(phi, (int, float, np.integer, np.floating)) and -np.inf < phi < np.inf):
+    """diag(1, e^{i phi}) for a real angle phi inside the double range."""
+    try:
+        angle = float(phi) if isinstance(phi, (int, float, np.integer, np.floating)) else np.nan
+    except OverflowError:  # a Python int beyond the double range, perhaps too long to print
+        bits = phi.bit_length()
+        raise ValueError(f"phase angle must be a finite real number, got an int of {bits} bits") from None
+    if not np.isfinite(angle):
         raise ValueError(f"phase angle must be a finite real number, got {phi!r}")
-    return np.array([[1, 0], [0, np.exp(1j * float(phi))]], dtype=np.complex128)
+    return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=np.complex128)
 
 
 def cnot() -> np.ndarray:

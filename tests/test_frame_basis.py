@@ -304,3 +304,165 @@ def test_ququart_n5_holds_about_one_matrix_per_step():
     nbytes = gate.matrix.nbytes
     assert synthesis_peak <= 1.25 * nbytes
     assert max(report_peaks) <= 1.25 * nbytes
+
+
+LONE_ROUTE = [en.builtin_encoding(name) for name in ("qubit", "qutrit", "ququart", "matrix2")] + [QUTRIT_LIKE]
+
+
+def _split_counter(monkeypatch):
+    """Wrap _lone_entries where synthesis and linalg look it up; the list
+    returned collects the matrix of every call."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return lone_entries(a)
+
+    lone_entries = la._lone_entries
+    monkeypatch.setattr(la, "_lone_entries", counted)
+    monkeypatch.setattr(sy, "_lone_entries", counted)
+    return calls
+
+
+@pytest.mark.parametrize("enc", LONE_ROUTE + [SHIFTED], ids=lambda enc: enc.name)
+def test_report_splits_once_under_a_permutation_frame(enc, monkeypatch):
+    """The unitarity residual and the leak pass share one lone-entry split
+    of u, whether u is the gate, a Givens-corrupted copy or dense."""
+    rng = np.random.default_rng(17)
+    f = sy.ClassicalFunction(3, 3, random_bijection_table(rng, 3))
+    gate = sy.quantize_reversible(f, enc).matrix
+    bad = gate.copy()
+    bad[:, [0, 1]] = gate[:, [0, 1]] @ np.array([[0.8, -0.6], [0.6, 0.8]])
+    calls = _split_counter(monkeypatch)
+    for u in (gate, bad, random_unitary(rng, len(gate))):
+        calls.clear()
+        sy.quantization_report(u, f, enc, 1e-9)
+        assert len(calls) == 1 and calls[0] is u
+
+
+def test_pauli_report_takes_the_strip_pass_over_the_rotated_matrix(monkeypatch):
+    """Under a rotated frame only the unitarity residual splits u; the leak
+    pass reads W^dagger u W whole, row strip by row strip."""
+    enc = en.builtin_encoding("pauli")
+    rng = np.random.default_rng(18)
+    f = sy.ClassicalFunction(2, 2, random_bijection_table(rng, 2))
+    gate = sy.quantize_reversible(f, enc).matrix
+    calls = _split_counter(monkeypatch)
+    rotated = []
+
+    def contraction(mats, x):
+        rotated.append(kron_apply(mats, x))
+        return rotated[-1]
+
+    kron_apply = sy._kron_apply
+    monkeypatch.setattr(sy, "_kron_apply", contraction)
+    report = sy.quantization_report(gate, f, enc, 1e-9)
+    assert len(calls) == 1 and calls[0] is gate
+    assert len(rotated) == 1
+    c = rotated[0].reshape(len(gate), -1)
+    # W^dagger u W of a synthesized gate is a permutation matrix up to
+    # rounding, so its entries off the permutation are not exactly 0: the
+    # lone route would not apply to it.
+    assert len(la._lone_entries(c)[0]) < len(c)
+    _, _, group = en._layout(enc, 2)
+    mass = np.abs(c) ** 2
+    mass[group[:, None] == np.append(f.image, 4)[group]] = 0.0
+    expected = np.sqrt(np.bincount(group, mass.sum(axis=0), minlength=5))
+    assert _residuals(report)[2:] == pytest.approx(expected[:4].tolist(), rel=1e-12, abs=1e-15)
+
+
+def _reference_groups(enc, n):
+    """Ambient index -> bit string number (2**n for the fixed complement),
+    read off the unit columns of logical_subspace."""
+    group = np.full(enc.ambient_dim**n, 2**n)
+    for x, bits in enumerate(_bit_strings(n)):
+        group[np.abs(en.logical_subspace(enc, bits)).argmax(axis=0)] = x
+    return group
+
+
+@st.composite
+def lone_route_inputs(draw):
+    """(encoding, f, u, p, lone_only): u is the gate of a random bijection f
+    at d^n <= 256, or a variant of it, times 2**p."""
+    enc = draw(st.sampled_from(LONE_ROUTE))
+    top = int(np.log(256.5) / np.log(enc.ambient_dim))
+    n = draw(st.integers(1, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f = sy.ClassicalFunction(n, n, random_bijection_table(rng, n))
+    u = sy.quantize_reversible(f, enc).matrix.copy()
+    dim = len(u)
+    i, j = rng.choice(dim, 2, replace=False)
+    kind = draw(st.sampled_from(["gate", "givens", "stretch", "wrong group", "dense"]))
+    if kind == "givens":
+        t = rng.uniform(0.1, 1.5)
+        u[:, [i, j]] = u[:, [i, j]] @ np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    elif kind == "stretch":
+        u[:, i] *= rng.uniform(0.5, 2.0)
+    elif kind == "wrong group":
+        # Columns i and j trade their ones, so both leave their target group
+        # when their targets differ.
+        target = np.append(f.image, 2**n)[_reference_groups(enc, n)]
+        j = rng.choice(np.flatnonzero(target != target[i]))
+        u[:, [i, j]] = u[:, [j, i]]
+    elif kind == "dense":
+        u = random_unitary(rng, dim)
+    p = draw(st.sampled_from([0, 300, -300]))
+    return enc, f, u * 2.0**p, p, kind not in ("givens", "dense")
+
+
+@given(lone_route_inputs())
+@settings(max_examples=150, deadline=None)
+def test_lone_route_matches_a_direct_reference(case):
+    """Every residual and the verdict equal those of masked |u_ij|^2 summed
+    by group, and of u^dagger u - I formed whole, exactly where every
+    column is lone."""
+    enc, f, u, p, lone_only = case
+    n = f.arity_in
+    group = _reference_groups(enc, n)
+    mass = np.abs(u) ** 2
+    mass[group[:, None] == np.append(f.image, 2**n)[group]] = 0.0
+    leaks = np.sqrt(np.bincount(group, mass.sum(axis=0), minlength=2**n + 1))
+    # u^dagger u - I = 4**k (v^dagger v - 4**-k I) for v = 2**-k u, whose
+    # Gram matrix stays inside the double range for k = max(p, 0).
+    k = max(p, 0)
+    v = u * 2.0**-k
+    unitarity = float(np.linalg.norm(v.conj().T @ v - 4.0**-k * np.eye(len(u)))) * 4.0**k
+    expected = [unitarity, float(leaks[-1]) if enc.fixed.shape[1] else 0.0, *leaks[:-1].tolist()]
+
+    report = sy.quantization_report(u, f, enc, 1e-9)
+    got = _residuals(report)
+    if lone_only:
+        assert got == expected
+    else:
+        assert got[1:] == pytest.approx(expected[1:], rel=1e-15)
+        assert got[0] == pytest.approx(expected[0], rel=1e-15, abs=1e-13 * 4.0**p)
+    assert report.ok == all(x <= 1e-9 for x in expected)
+    assert (report.complement_residual is None) == (enc.fixed.shape[1] == 0)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("width", [2, 5, 512])
+def test_partly_lone_report_sums_as_the_strip_pass_over_all_columns(width, order):
+    """At ququart n=5 the leak pass takes 16 row strips.  With width columns
+    mixed, the rest lone, the report's residuals are bit for bit those of
+    the strip pass over every column of u, the pass a dense u takes, in
+    either memory order of u."""
+    enc = en.builtin_encoding("ququart")
+    rng = np.random.default_rng(width)
+    f = sy.ClassicalFunction(5, 5, random_bijection_table(rng, 5))
+    u = sy.quantize_reversible(f, enc).matrix.copy()
+    cols = rng.choice(len(u), width, replace=False)
+    u[:, cols] = u[:, cols] @ random_unitary(rng, width)
+    u = np.asarray(u, order=order)
+    _, _, group = en._layout(enc, 5)
+    target = np.append(f.image, 32)[group]
+    leak = np.zeros(len(u))
+    for i in range(0, len(u), 64):
+        sq = np.abs(u[i : i + 64])
+        sq *= sq
+        sq[group[i : i + 64, None] == target] = 0.0
+        leak += sq.sum(axis=0)
+    expected = np.sqrt(np.bincount(group, leak, minlength=33))
+    report = sy.quantization_report(u, f, enc, 1e-9)
+    assert [c.residual for c in report.subspace_checks] == expected[:32].tolist()
+    assert not report.ok

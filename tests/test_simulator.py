@@ -200,6 +200,11 @@ class TestCircuitConstruction:
         with pytest.raises(ValueError, match="phase angle must be a finite real number"):
             sim.Circuit(QUBIT, 1, (sim.CircuitStep("R", (0,), phi=phi),))
 
+    @pytest.mark.parametrize("phi", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_r_angle_beyond_the_double_range(self, phi):
+        with pytest.raises(ValueError, match="phase angle must be a finite real number"):
+            sim.Circuit(QUBIT, 1, (sim.CircuitStep("R", (0,), phi=phi),))
+
     @pytest.mark.parametrize("name,targets", [("H", (0,)), ("NOT", (1,)), ("SWAP", (0, 1))])
     def test_only_r_takes_an_angle(self, name, targets):
         with pytest.raises(ValueError, match=rf"^only R takes an angle, got 0\.3 for {name}$"):

@@ -606,6 +606,14 @@ class TestNamedGates:
             with pytest.raises(ValueError, match="phase angle must be a finite real number"):
                 resolve(phi)
 
+    @pytest.mark.parametrize("phi", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"])
+    def test_angle_beyond_the_double_range(self, phi):
+        """A Python int beyond the double range is refused like inf, not
+        left to overflow when converted, even one too long to print."""
+        for resolve in (sy.phase_gate, lambda phi: sy.named_gate("R", QUBIT, phi)):
+            with pytest.raises(ValueError, match="phase angle must be a finite real number"):
+                resolve(phi)
+
     @pytest.mark.parametrize("phi", [np.float64(0.3), np.int64(2), 2, 0.3, np.float32(0.5)])
     def test_numpy_and_python_real_angles_accepted(self, phi):
         want = np.array([[1, 0], [0, np.exp(1j * float(phi))]])
