@@ -20,7 +20,7 @@ import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _layout
 from .linalg import _GATE_TOL, _check_tol, _count, _frozen, _ldexp, _prescale, _unitarity_residual, as_array
-from .linalg import _kron_apply, _lone_entries, principal_unitary_sqrt
+from .linalg import _framed_permutation, _kron_apply, _lone_entries, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -161,29 +161,23 @@ class SynthesizedGate:
     def __post_init__(self):
         m = _frozen(as_array(self.matrix, 2))
         object.__setattr__(self, "matrix", m)
-        if m.shape[0] != m.shape[1] or not _unitarity_residual(m) <= _GATE_TOL:
-            raise ValueError("synthesized gate is not unitary")
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"synthesized gate is not unitary: shape {m.shape} is not square")
+        residual = _unitarity_residual(m)
+        if not residual <= _GATE_TOL:
+            raise ValueError(f"synthesized gate is not unitary (residual {residual:.3e}, tol {_GATE_TOL:.3e})")
 
 
 def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
-    """W P W^dagger for a reversible f, with W = frame^(kron n) and P the
-    permutation of the layout's columns (_layout) that f induces; read-only,
+    """W P W^dagger (_framed_permutation) for a reversible f, with W = frame^(kron n)
+    and P the permutation of the layout's columns (_layout) that f induces;
     unchecked.  Under a permutation frame W = I and P is the gate."""
     n = f.arity_in
-    dim = enc.ambient_dim**n
     table, aligned, _ = _layout(enc, n)
     # Column j of x's row goes to column j of f(x)'s; the other columns stay.
-    image = np.arange(dim)
+    image = np.arange(enc.ambient_dim**n)
     image[table] = table[f.image]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[image, np.arange(dim)] = 1.0
-    if not aligned:
-        # One contraction of the row-major flattened P, written back into
-        # P, so that the gate owns its memory and is handed over uncopied.
-        frames = [enc.frame] * n + [enc.frame.conj()] * n
-        out[...] = _kron_apply(frames, out.reshape(-1)).reshape(dim, dim)
-    out.setflags(write=False)
-    return out
+    return _framed_permutation(image, [] if aligned else [enc.frame] * n + [enc.frame.conj()] * n)
 
 
 def quantize_reversible(f: ClassicalFunction, enc: Encoding) -> SynthesizedGate:
@@ -225,7 +219,10 @@ def controlled(u) -> np.ndarray:
 
 
 def sqrt_gate(g: SynthesizedGate) -> np.ndarray:
-    """Principal square root of a synthesized gate's matrix."""
+    """Principal square root of a synthesized gate's matrix.  A matrix that
+    synthesis built takes no eigensolver (principal_unitary_sqrt): cycle by
+    cycle under a permutation frame, and as W sqrt(P) W^dagger, verified bit
+    for bit, under a rotated frame W.  Any other matrix takes the eigen route."""
     return principal_unitary_sqrt(g.matrix)
 
 

@@ -668,6 +668,26 @@ class TestPermutationSqrt:
                     expected[i, j] = r[(a - b) % len(cycle)]
         assert np.array_equal(la.principal_unitary_sqrt(permutation_matrix(p)), expected)
 
+    def test_frame_route_peaks_at_three_matrices(self):
+        """The root of a synthesized pauli n=4 gate (256 x 256, 1 MiB) as
+        W sqrt(P) W^dagger peaks below 3.5 matrices: the rebuild and the
+        contraction each hold their operand and two partial products.  The
+        eigen route, taken on a copy, holds about 7."""
+        from qlift import encodings as en
+        from qlift import synthesis as sy
+
+        image = np.random.default_rng(4).permutation(16)
+        u = sy.quantize_reversible(sy.ClassicalFunction._from_image(4, 4, image), en.builtin_encoding("pauli")).matrix
+        peaks = []
+        for m in (u, u.copy()):
+            tracemalloc.start()
+            try:
+                la.principal_unitary_sqrt(m)
+                peaks.append(tracemalloc.get_traced_memory()[1] / u.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 3.5 < 6.5 <= peaks[1]
+
 
 class TestResUnres:
     def test_row_order(self):

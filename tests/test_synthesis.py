@@ -101,8 +101,10 @@ class TestQuantizeReversible:
             sy.quantize_reversible(sy.ClassicalFunction.constant(1, "0"), QUBIT)
 
     def test_non_unitary_gate_rejected(self):
-        with pytest.raises(ValueError, match="synthesized gate is not unitary"):
+        with pytest.raises(ValueError, match="synthesized gate is not unitary") as err:
             sy.SynthesizedGate(np.ones((2, 2)), QUBIT, NEGATION)
+        # ones^dagger ones - I = [[1, 2], [2, 1]], of Frobenius norm sqrt(10).
+        assert str(err.value).endswith(f"(residual {np.sqrt(10):.3e}, tol 1.000e-09)")
 
     def test_gate_holds_matrix_encoding_and_source_only(self):
         names = [f.name for f in dataclasses.fields(sy.SynthesizedGate)]
@@ -112,8 +114,9 @@ class TestQuantizeReversible:
 
     @pytest.mark.parametrize("shape", [(2, 4), (4, 2), (1, 2)])
     def test_non_square_gate_rejected(self, shape):
-        with pytest.raises(ValueError, match="synthesized gate is not unitary"):
+        with pytest.raises(ValueError, match="synthesized gate is not unitary") as err:
             sy.SynthesizedGate(np.eye(*shape), QUBIT, NEGATION)
+        assert str(err.value).endswith(f"shape {shape} is not square")
 
     def test_gate_holds_synthesis_matrix_and_copies_a_callers(self):
         """Synthesis hands its read-only matrix over uncopied; a caller's
@@ -275,12 +278,19 @@ class TestOneGateTolerance:
     def test_just_outside_rejected_everywhere(self):
         with pytest.raises(ValueError, match="expects a unitary matrix"):
             sy.controlled(self.V)
-        with pytest.raises(ValueError, match="synthesized gate is not unitary"):
+        with pytest.raises(ValueError, match="synthesized gate is not unitary") as synthesized:
             sy.SynthesizedGate(self.V, QUBIT, NEGATION)
         with pytest.raises(ValueError, match="gate matrix is not unitary"):
             Circuit(QUBIT, 1, [CircuitStep(self.V, (0,))])
-        with pytest.raises(ValueError, match="requires a unitary matrix"):
+        with pytest.raises(ValueError, match="requires a unitary matrix") as root:
             la.principal_unitary_sqrt(self.V)
+        # Both errors name the residual, 2.828e-09 here, and the tolerance.
+        figures = f"(residual {la._unitarity_residual(self.V):.3e}, tol 1.000e-09)"
+        assert figures == "(residual 2.828e-09, tol 1.000e-09)"
+        assert str(synthesized.value).endswith(figures) and str(root.value).endswith(figures)
+        with pytest.raises(ValueError, match="requires a unitary matrix") as root:
+            la.principal_unitary_sqrt(self.U, tol=1e-10)
+        assert str(root.value).endswith(f"(residual {la._unitarity_residual(self.U):.3e}, tol 1.000e-10)")
 
 
 class TestSqrtGate:
