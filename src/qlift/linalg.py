@@ -211,7 +211,11 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
     if len(single):
         single *= single
         single -= one
-        total = math.sqrt(single @ single)
+        # The squares are rounded one by one and summed with one rounding,
+        # so that no BLAS dot's order or fused multiply-add shows in the
+        # last bit.
+        single *= single
+        total = math.sqrt(math.fsum(single.tolist()))
     for j in range(0, cols, _GRAM_STRIP):
         # Row r holds Gram row j + r over the strip's w columns, conjugated:
         # the diagonal block is the first w rows and the block beyond it

@@ -5,6 +5,7 @@ logical_subspace and fixed_complement.  Where the frame is a permutation
 matrix, synthesis, verification and the root take index maps instead; those
 paths are held to the Kronecker contraction and the eigensolver."""
 
+import math
 import os
 import tracemalloc
 
@@ -426,7 +427,10 @@ def test_lone_route_matches_a_direct_reference(case):
     # Gram matrix stays inside the double range for k = max(p, 0).
     k = max(p, 0)
     v = u * 2.0**-k
-    unitarity = float(np.linalg.norm(v.conj().T @ v - 4.0**-k * np.eye(len(u)))) * 4.0**k
+    # Its squared entries are summed with one rounding (math.fsum): a BLAS
+    # dot adds them in an order, and may fuse them, as its kernel chooses.
+    gram = v.conj().T @ v - 4.0**-k * np.eye(len(u))
+    unitarity = math.sqrt(math.fsum((gram.view(np.float64) ** 2).ravel().tolist())) * 4.0**k
     expected = [unitarity, float(leaks[-1]) if enc.fixed.shape[1] else 0.0, *leaks[:-1].tolist()]
 
     report = sy.quantization_report(u, f, enc, 1e-9)
