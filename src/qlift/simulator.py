@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, QuantumState, encode_bits
-from .linalg import _GATE_TOL, _count, _frozen, as_array, is_unitary, tensor_to_matrix
+from .linalg import _GATE_TOL, _count, _frozen, _prescale, _unitarity_residual, as_array, tensor_to_matrix
 from .synthesis import named_gate
 
 __all__ = [
@@ -108,15 +108,18 @@ class Circuit:
         seen: dict[tuple[str, float | None] | int, tuple[np.ndarray | str, np.ndarray]] = {}
         steps, checked = [], []
         d = self.encoding.ambient_dim
-        for step in given:
+        for index, step in enumerate(given):
             named = isinstance(step.gate, str)
             key = (step.gate, step.phi) if named else id(step.gate)
             if key not in seen:
                 gate = step.gate if named else _frozen(np.asarray(step.gate, dtype=np.complex128))
                 gm = named_gate(gate, self.encoding, step.phi) if named else gate
                 gm, _ = _check_step(tensor_to_matrix(gm) if np.ndim(gm) == 3 else gm, step.targets, d, self.width)
-                if not is_unitary(gm, _GATE_TOL):
-                    raise ValueError("gate matrix is not unitary")
+                residual = _unitarity_residual(gm)
+                if not residual <= _GATE_TOL:
+                    raise ValueError(
+                        f"step {index}: gate matrix is not unitary (residual {residual:.3e}, tol {_GATE_TOL:.3e})"
+                    )
                 seen[key] = gate, _frozen(gm)
             gate, gm = seen[key]
             _, targets = _check_step(gm, step.targets, d, self.width)
@@ -126,8 +129,8 @@ class Circuit:
         object.__setattr__(self, "_checked", tuple(checked))
 
 
-def _fold(c: Circuit, amplitudes: np.ndarray) -> QuantumState:
-    """The state reached by applying c's checked steps to the amplitudes."""
+def _steps(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
+    """c's checked steps applied to the amplitudes, unscaled."""
     d, n = c.encoding.ambient_dim, c.width
     psi = amplitudes.reshape([d] * n)
     for gm, targets in c._checked:
@@ -135,7 +138,25 @@ def _fold(c: Circuit, amplitudes: np.ndarray) -> QuantumState:
         psi = np.moveaxis(psi, targets, range(k))
         psi = (gm @ psi.reshape(d**k, -1)).reshape([d] * n)
         psi = np.moveaxis(psi, range(k), targets)
-    return QuantumState(psi.reshape(-1), c.encoding, n)
+    return psi.reshape(-1)
+
+
+def _fold(c: Circuit, amplitudes: np.ndarray) -> QuantumState:
+    """The state reached by applying c's checked steps to the amplitudes.
+    A fold that overflows, as numpy's floating-point flags tell at no cost
+    to the others, is redone once on the amplitudes scaled by a power of
+    two near their largest part, which is exact, and its result is scaled
+    back.  Raises ValueError if that result lies beyond the double range."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            psi = _steps(c, amplitudes)
+    except FloatingPointError:
+        scaled, e = _prescale(amplitudes)
+        psi, k = _prescale(_steps(c, scaled))
+        if e + k > np.finfo(np.float64).maxexp:
+            raise ValueError("circuit state exceeds the double range") from None
+        psi = np.ldexp(psi.view(np.float64), e + k).view(np.complex128)
+    return QuantumState(psi, c.encoding, c.width)
 
 
 def apply_gate(s: QuantumState, g, targets) -> QuantumState:

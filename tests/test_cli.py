@@ -186,7 +186,12 @@ class TestRun:
         circ = tmp_path / "cshear.circ"
         circ.write_text("encoding qubit\nwidth 2\nC(shear.mat) 0 1\n")
         code, out, err = run_cli(capsys, "run", str(circ), "--input", "00")
-        assert (code, out, err) == (1, "", "error: gate matrix is not unitary\n")
+        # ||m^dagger m - I||_F of the controlled shear is sqrt(3).
+        assert (code, out, err) == (
+            1,
+            "",
+            "error: step 0: gate matrix is not unitary (residual 1.732e+00, tol 1.000e-09)\n",
+        )
 
     def test_controlled_gate_within_the_gate_tolerance_runs(self, capsys, tmp_path):
         """1.00000000025 X is off unitary by 7.1e-10, inside the gate

@@ -133,6 +133,15 @@ class TestKronApply:
         got = la.kron_apply([np.eye(2) * 2.0**-600, np.eye(2) * 2.0**600], np.ones(4) * 2.0**-600)
         assert np.array_equal(got, np.full(4, 2.0**-600))
 
+    def test_accuracy_is_normwise(self):
+        """The exact result is [1, 1e300, 1e-300, 1]: each entry is within
+        a few units of roundoff of M = 1e300, the product of the largest
+        entries, though the 1e-300 is far below M and may underflow."""
+        got = la.kron_apply([np.diag([1e300, 1.0]), np.diag([1e-300, 1.0])], np.ones(4))
+        exact = np.array([1.0, 1e300, 1e-300, 1.0])
+        assert np.abs(got - exact).max() <= 4 * 2 * np.finfo(float).eps * 1e300
+        assert np.array_equal(got[[0, 1, 3]], exact[[0, 1, 3]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operand_rejected(self, bad):
         with pytest.raises(ValueError, match="NaN or Inf"):
@@ -642,7 +651,7 @@ class TestPermutationSqrt:
             w = la.principal_unitary_sqrt(m)
             assert np.abs(w @ w - m).max() <= 1e-14
             with monkeypatch.context() as patch:
-                patch.setattr(la, "_permutation", lambda a: None)
+                patch.setattr(la, "_permutation", lambda a, split=None: None)
                 eigen = la.principal_unitary_sqrt(m)
             assert np.abs(w - eigen).max() <= 1e-13
 
@@ -941,6 +950,86 @@ class TestAsArray:
     def test_single_row_or_column_matrix_is_a_vector(self, shape):
         got = la.as_array(np.arange(1, 4).reshape(shape), 1)
         assert got.shape == (3,) and np.array_equal(got, [1, 2, 3])
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("bad", [complex(x, 0) for x in (np.nan, np.inf, -np.inf)]
+                             + [complex(0, x) for x in (np.nan, np.inf, -np.inf)])
+    def test_non_finite_entry_rejected_in_any_layout(self, bad, layout):
+        """A NaN or Inf in the real or the imaginary part, in a C-ordered,
+        Fortran-ordered or strided complex array, gives the one message."""
+        rng = np.random.default_rng(30)
+        m = random_complex(rng, (5, 6))
+        m[3, 4] = bad
+        if layout == "F":
+            m = np.asfortranarray(m)
+        elif layout == "strided":
+            m = np.repeat(m, 2, axis=1)[:, ::2]
+        assert m.flags.c_contiguous == (layout == "C")
+        with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+            la.as_array(m, 2)
+        with pytest.raises(ValueError, match=r"^vector contains NaN or Inf entries$"):
+            la.as_array(m[3], 1)
+        with pytest.raises(ValueError, match=r"^tensor contains NaN or Inf entries$"):
+            la.as_array(m[:, :, None], 3)
+
+
+def reference_lone_entries(a):
+    """The lone-entry rule as first written: int64 counts of the nonzero
+    mask, multiplied."""
+    nz = a != 0
+    col = nz.argmax(1)
+    rows = np.flatnonzero(nz.sum(1) * nz.sum(0)[col] == 1)
+    return rows, col[rows]
+
+
+def assert_same_lone_entries(a):
+    got, want = la._lone_entries(a), reference_lone_entries(a)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestLoneEntries:
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+           st.sampled_from([0.0, 0.3]), st.integers(0, 2**32 - 1))
+    @example(40, 40, 0.02, 0.3, 0)
+    @example(1, 40, 1.0, 0.0, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference(self, rows, cols, density, empty, seed):
+        """Random sparse and dense patterns, some rows emptied, on square
+        and rectangular shapes."""
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((rows, cols)) < density, random_complex(rng, (rows, cols)), 0)
+        a[rng.random(rows) < empty] = 0
+        assert_same_lone_entries(a)
+        assert_same_lone_entries(np.asfortranarray(a))
+
+    @pytest.mark.parametrize(
+        "shape", [(255, 255), (256, 256), (257, 257), (255, 3), (3, 256), (256, 1), (1, 256), (300, 256)]
+    )
+    def test_at_the_narrow_count_boundary(self, shape):
+        """Counts up to 255 fit uint8 and 256 needs uint16 (a count of 257
+        would wrap to 1 in uint8): a full row and a full column next to
+        lone entries."""
+        rows, cols = shape
+        rng = np.random.default_rng(rows * 1000 + cols)
+        a = np.zeros(shape, dtype=complex)
+        k = min(shape)
+        a[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = 1.0
+        assert_same_lone_entries(a)
+        a[0] = 1.0
+        assert_same_lone_entries(a)
+        a[:, -1] = 1j
+        assert_same_lone_entries(a)
+
+    def test_counts_are_not_multiplied_in_the_narrow_type(self):
+        """Row 0 holds 3 entries and its first column 171: 3 * 171 = 513,
+        which is 1 modulo 256, so a uint8 product would call row 0 lone."""
+        a = np.zeros((200, 200), dtype=complex)
+        a[:171, 0] = 1.0
+        a[0, :3] = 1.0
+        a[171:, 171:] = np.eye(29)
+        rows, cols = la._lone_entries(a)
+        assert np.array_equal(rows, np.arange(171, 200)) and np.array_equal(cols, rows)
+        assert_same_lone_entries(a)
 
 
 # Powers of two scale exactly, so a result scaled back by 2**-e is comparable

@@ -45,6 +45,37 @@ class TestApplyGate:
         b = sim.apply_gate(s, sy.swap() @ g @ sy.swap(), (0, 1)).amplitudes
         assert np.linalg.norm(a - b) <= 1e-12
 
+    def test_result_beyond_the_double_range_rejected(self):
+        """H on [1.5e308, 1.5e308] gives 2.1e308 in its first entry: a
+        ValueError naming the double range, and no numpy warning (the suite
+        runs with warnings as errors)."""
+        s = en.QuantumState(np.array([1.5e308, 1.5e308]), QUBIT, 1)
+        with pytest.raises(ValueError, match="^circuit state exceeds the double range$"):
+            sim.apply_gate(s, "H", (0,))
+
+    def test_overflow_within_the_fold_is_redone_scaled(self):
+        """H H on [1.7e308, 1.7e308] overflows after the first H, but the
+        result is back in range: the scaled fold returns it."""
+        s = en.QuantumState(np.array([1.7e308, 1.7e308]), QUBIT, 1)
+        circ = sim.Circuit(QUBIT, 1, (sim.CircuitStep("H", (0,)), sim.CircuitStep("H", (0,))))
+        out = sim._fold(circ, s.amplitudes)
+        assert np.allclose(out.amplitudes / 1.7e308, [1, 1], rtol=0, atol=1e-15)
+        y, e = la._prescale(s.amplitudes)
+        unscaled = np.ldexp(sim._fold(circ, y).amplitudes.view(float), e).view(complex)
+        assert np.array_equal(out.amplitudes, unscaled)
+
+    def test_ordinary_states_are_folded_unscaled(self):
+        """Below the overflow the fold is the plain product of the steps,
+        bit for bit, at any scale."""
+        rng = np.random.default_rng(31)
+        u = random_unitary(rng, 4)
+        for scale in (1.0, 1e300, 1e-300):
+            s = en.QuantumState(random_complex(rng, (8,)) * scale, QUBIT, 3)
+            # Targets (2, 0): axes 2 and 0 to the front, u, and back.
+            front = np.moveaxis(s.amplitudes.reshape(2, 2, 2), (2, 0), (0, 1))
+            expected = np.moveaxis((u @ front.reshape(4, 2)).reshape(2, 2, 2), (0, 1), (2, 0))
+            assert np.array_equal(sim.apply_gate(s, u, (2, 0)).amplitudes, expected.reshape(-1))
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             sim.apply_gate(en.encode_bits(QUBIT, "0"), np.array([[1, 1], [0, 1]]), (0,))
@@ -195,6 +226,15 @@ class TestCircuitConstruction:
         with pytest.raises(ValueError, match=match):
             sim.Circuit(QUBIT, 2, (sim.CircuitStep("H", (0,)), step))
 
+    def test_non_unitary_error_names_the_step_and_its_residual(self):
+        """The error names the first step that uses the gate and ends in
+        ||m^dagger m - I||_F of the shear, sqrt(3), and the tolerance."""
+        shear = np.array([[1, 1], [0, 1]])
+        steps = (sim.CircuitStep("H", (0,)), sim.CircuitStep(shear, (1,)), sim.CircuitStep(shear, (0,)))
+        message = r"^step 1: gate matrix is not unitary \(residual 1\.732e\+00, tol 1\.000e-09\)$"
+        with pytest.raises(ValueError, match=message):
+            sim.Circuit(QUBIT, 2, steps)
+
     @pytest.mark.parametrize("phi", [1j, np.complex128(0.3), "0.3"])
     def test_r_angle_must_be_real(self, phi):
         with pytest.raises(ValueError, match="phase angle must be a finite real number"):
@@ -211,7 +251,7 @@ class TestCircuitConstruction:
             sim.Circuit(QUBIT, 2, (sim.CircuitStep(name, targets, phi=0.3),))
 
     def test_each_step_resolved_and_checked_once(self, monkeypatch):
-        calls = dict.fromkeys(["is_unitary", "named_gate", "QuantumState"], 0)
+        calls = dict.fromkeys(["_unitarity_residual", "named_gate", "QuantumState"], 0)
 
         def count(name):
             real = getattr(sim, name)
@@ -239,9 +279,9 @@ class TestCircuitConstruction:
         )
         circ = sim.Circuit(QUBIT, 3, steps)
         # Six distinct named gates (SQRT_NOT twice) and three array gates.
-        assert calls == {"is_unitary": 9, "named_gate": 6, "QuantumState": 0}
+        assert calls == {"_unitarity_residual": 9, "named_gate": 6, "QuantumState": 0}
         outs = [sim.run_circuit(circ, "010") for _ in range(3)]
-        assert calls == {"is_unitary": 9, "named_gate": 6, "QuantumState": 3}
+        assert calls == {"_unitarity_residual": 9, "named_gate": 6, "QuantumState": 3}
         assert all(np.array_equal(o.amplitudes, outs[0].amplitudes) for o in outs)
 
     def test_named_gate_synthesized_once_per_circuit(self, monkeypatch):

@@ -280,14 +280,14 @@ class TestOneGateTolerance:
             sy.controlled(self.V)
         with pytest.raises(ValueError, match="synthesized gate is not unitary") as synthesized:
             sy.SynthesizedGate(self.V, QUBIT, NEGATION)
-        with pytest.raises(ValueError, match="gate matrix is not unitary"):
+        with pytest.raises(ValueError, match="^step 0: gate matrix is not unitary") as circuit:
             Circuit(QUBIT, 1, [CircuitStep(self.V, (0,))])
         with pytest.raises(ValueError, match="requires a unitary matrix") as root:
             la.principal_unitary_sqrt(self.V)
-        # Both errors name the residual, 2.828e-09 here, and the tolerance.
+        # The errors name the residual, 2.828e-09 here, and the tolerance.
         figures = f"(residual {la._unitarity_residual(self.V):.3e}, tol 1.000e-09)"
         assert figures == "(residual 2.828e-09, tol 1.000e-09)"
-        assert str(synthesized.value).endswith(figures) and str(root.value).endswith(figures)
+        assert all(str(e.value).endswith(figures) for e in (synthesized, circuit, root))
         with pytest.raises(ValueError, match="requires a unitary matrix") as root:
             la.principal_unitary_sqrt(self.U, tol=1e-10)
         assert str(root.value).endswith(f"(residual {la._unitarity_residual(self.U):.3e}, tol 1.000e-10)")
