@@ -100,8 +100,8 @@ def as_array(a, ndim: int) -> np.ndarray:
         raise ValueError(f"expected {expected}, got shape {np.shape(a)}")
     if out.size == 0:
         raise ValueError(f"empty {noun}")
-    # A complex entry is finite when both its parts are: a C-ordered array
-    # is checked as its float64 view, which numpy scans faster.
+    # A complex entry is finite when both its parts are, so a C-ordered
+    # array is checked as its float64 view.
     if not np.isfinite(out.view(np.float64) if out.flags.c_contiguous else out).all():
         raise ValueError(f"{noun} contains NaN or Inf entries")
     return out
@@ -121,6 +121,25 @@ def _check_tol(tol) -> None:
     """The one tolerance rule: ValueError for a NaN or negative tol."""
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+
+
+def _square(u, what: str) -> np.ndarray:
+    """The one square-matrix rule: as_array(u, 2), or ValueError naming
+    `what` and the shape for a matrix that is not square."""
+    a = as_array(u, 2)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what}: shape {a.shape} is not square")
+    return a
+
+
+def _unitary(a: np.ndarray, tol: float, what: str, split: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """The one gate rule: the unitarity residual of the square matrix a
+    (_unitarity_residual, with a's split if given), or ValueError naming
+    `what`, the residual and tol when it is not within tol."""
+    r = _unitarity_residual(a, split)
+    if not r <= tol:
+        raise ValueError(f"{what} (residual {r:.3e}, tol {tol:.3e})")
+    return r
 
 
 def _count(value, what: str) -> int:
@@ -161,6 +180,15 @@ def _ldexp(x: float, e: int) -> float:
         return math.inf
 
 
+def _scale_back(y: np.ndarray, e: int, what: str) -> np.ndarray:
+    """y * 2**e for a float64 or complex128 array, each part rounded once,
+    or ValueError naming `what` if a part lies beyond the double range."""
+    f = np.ascontiguousarray(y).view(np.float64)
+    if math.frexp(float(max(f.max(initial=0.0), -f.min(initial=0.0))))[1] + e > np.finfo(np.float64).maxexp:
+        raise ValueError(f"{what} exceeds the double range")
+    return np.ldexp(f, e).view(y.dtype)
+
+
 def _norm(x: np.ndarray) -> float:
     """2-norm that no square overflows or underflows: scale by the largest
     entry, take the norm, scale back.  0.0 for the zero array, inf for a norm
@@ -190,7 +218,9 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
     for c = 2**-k a, and no product or square overflows.  Underflow does no
     harm, as it is subtracted from I.  The largest entry of b is searched
     one strip at a time, so that the search makes no temporary the size of
-    a."""
+    a.  An entry of modulus 2**513 or more, which may itself read inf, puts
+    a diagonal entry of a^dagger a - I beyond the double range, so the
+    residual is inf and no product is formed."""
     rows, lone = _lone_entries(a) if split is None else split
     single = abs(a[rows, lone])
     # b holds the cols columns that are not lone: all of a, none of it, or
@@ -204,6 +234,8 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
     top = single.max(initial=0.0)
     for j in range(0, cols, _GRAM_STRIP):
         top = max(top, abs(b[:, j : j + _GRAM_STRIP]).max())
+    if top >= 2.0**513:
+        return math.inf
     k = max(math.frexp(top)[1] - _GRAM_EXP, 0)
     if k:
         single *= math.ldexp(1.0, -k)
@@ -232,10 +264,9 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
 def _lone_entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the lone entries of a matrix, in row order: nonzero
     entries alone in both their row and their column.  The nonzero mask is
-    a cast to bool, the same mask as a != 0 at about half the cost.  Its
-    row and column counts are summed over its uint8 view in the narrowest
-    unsigned type that holds the larger dimension, so no count wraps, at
-    about a fifth of the cost of an int64 sum."""
+    a cast to bool, the same mask as a != 0.  Its row and column counts are
+    summed over its uint8 view in the narrowest unsigned type that holds the
+    larger dimension, so no count wraps."""
     nz = a.astype(bool)
     # col[i] is row i's first nonzero column, lone when alone in both.
     col = nz.argmax(1)
@@ -294,8 +325,11 @@ def kron(a, b) -> np.ndarray:
 
     Entry ((i1,i2),(j1,j2)) of the result is a[i1,j1]*b[i2,j2] under row-major
     flattening of the paired indices.  Accepts two vectors (returning a vector)
-    or two matrices (returning a matrix).  Raises ValueError if an entry of
-    the product exceeds the double range.
+    or two matrices (returning a matrix).  A product that overflows or
+    underflows is formed again from the operands scaled by powers of two,
+    exactly, and scaled back, so each entry is the exact product rounded
+    once.  Raises ValueError if an entry of the product exceeds the double
+    range.
     """
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
@@ -304,10 +338,11 @@ def kron(a, b) -> np.ndarray:
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
         raise ValueError("kron operand contains NaN or Inf entries")
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", under="raise", invalid="raise"):
             return np.kron(aa, bb)
     except FloatingPointError:
-        raise ValueError("kron product exceeds the double range") from None
+        (aa, ea), (bb, eb) = _prescale(aa), _prescale(bb)
+        return _scale_back(np.kron(aa, bb), ea + eb, "kron product")
 
 
 def kron_apply(mats, x) -> np.ndarray:
@@ -333,11 +368,8 @@ def kron_apply(mats, x) -> np.ndarray:
     parts = [_prescale(np.asarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)) for a in (*mats, x)]
     if not all(np.isfinite(a).all() for a, _ in parts):
         raise ValueError("kron_apply operand contains NaN or Inf entries")
-    y, e = _prescale(_kron_apply([a for a, _ in parts[:-1]], parts[-1][0]))
-    e += sum(k for _, k in parts)
-    if e > np.finfo(np.float64).maxexp:
-        raise ValueError("kron_apply result exceeds the double range")
-    return np.ldexp(y.view(np.float64), e).view(y.dtype)
+    y = _kron_apply([a for a, _ in parts[:-1]], parts[-1][0])
+    return _scale_back(y, sum(k for _, k in parts), "kron_apply result")
 
 
 def _kron_apply(mats, x) -> np.ndarray:
@@ -544,23 +576,17 @@ def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
     eigensolver.  So does a gate that synthesis built under a rotated frame
     W, W P W^dagger, as W sqrt(P) W^dagger: that very array only, after the
     unitarity check and once a rebuild from synthesis's record equals it
-    bit for bit.  At 256 x 256 (pauli n=4) that is about 5 ms and 3
-    matrices of memory instead of 32 ms and 7.  Raises ValueError, with the
-    residual, if the input is not unitary to within `tol`, or for a NaN or
-    negative tol.
+    bit for bit.  Raises ValueError, with the residual, if the input is not
+    unitary to within `tol`, or for a NaN or negative tol.
     """
     _check_tol(tol)
-    a = as_array(u, 2)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("principal_unitary_sqrt requires a square matrix")
+    a = _square(u, "principal_unitary_sqrt")
     # One lone-entry split serves the permutation test and the residual.
     split = _lone_entries(a)
     p = _permutation(a, split)
     if p is not None:
         return _permutation_sqrt(p)
-    residual = _unitarity_residual(a, split)
-    if not residual <= tol:
-        raise ValueError(f"principal_unitary_sqrt requires a unitary matrix (residual {residual:.3e}, tol {tol:.3e})")
+    _unitary(a, tol, "principal_unitary_sqrt requires a unitary matrix", split)
     # The root, a primary matrix function, commutes with similarity by W.
     ref, frames, image = _FRAMED.get(id(a), (None, (), None))
     if ref is not None and ref() is a and np.array_equal(_framed_permutation(image, frames), a):
@@ -610,7 +636,11 @@ def tensor_apply(t, x) -> np.ndarray:
 
     Computes y_k = trace(slice_k @ x) for each slice and reshapes y back into
     the shape of x, so the slices of a rows x cols state are cols x rows.
-    Equivalent to unres(G @ res(x)) for G = tensor_to_matrix(t).
+    Equivalent to unres(G @ res(x)) for G = tensor_to_matrix(t).  t and x
+    are scaled by powers of two near their largest parts first, exactly, and
+    y is scaled back, so that no partial sum overflows and y at any scale
+    is y at unit scale rounded once.  Raises ValueError if an entry of y
+    exceeds the double range.
     """
     tt = as_array(t, 3)
     xm = as_array(x, 2)
@@ -618,10 +648,8 @@ def tensor_apply(t, x) -> np.ndarray:
         raise ValueError(f"tensor slices {tt.shape[:2]} do not act on a state of shape {xm.shape}")
     if tt.shape[2] != xm.size:
         raise ValueError(f"expected {xm.size} slices, got {tt.shape[2]}")
-    y = np.einsum("ijk,ji->k", tt, xm)
-    if not np.isfinite(y).all():
-        raise ValueError("tensor_apply result exceeds the double range")
-    return y.reshape(xm.shape)
+    (tt, et), (xs, ex) = _prescale(tt), _prescale(xm)
+    return _scale_back(np.einsum("ijk,ji->k", tt, xs), et + ex, "tensor_apply result").reshape(xm.shape)
 
 
 def tensor_to_matrix(t) -> np.ndarray:
@@ -667,7 +695,4 @@ def is_unitary(m, tol: float) -> bool:
     formed only among columns that are not lone (_unitarity_residual).
     Raises ValueError for non-square input and for a NaN or negative tol."""
     _check_tol(tol)
-    a = as_array(m, 2)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("is_unitary requires a square matrix")
-    return bool(_unitarity_residual(a) <= tol)
+    return bool(_unitarity_residual(_square(m, "is_unitary")) <= tol)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, QuantumState, encode_bits
-from .linalg import _GATE_TOL, _count, _frozen, _prescale, _unitarity_residual, as_array, tensor_to_matrix
+from .linalg import _GATE_TOL, _count, _frozen, _prescale, _scale_back, _square, _unitary, tensor_to_matrix
 from .synthesis import named_gate
 
 __all__ = [
@@ -61,7 +61,7 @@ class CircuitStep:
 def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The step rule: a d^k x d^k matrix acts on k distinct integer targets in
     range(width).  Returns (complex matrix, int targets) or raises ValueError."""
-    gm = as_array(gate, 2)
+    gm = _square(gate, "gate matrix")
     try:
         targets = tuple(map(operator.index, targets))
     except TypeError:
@@ -115,11 +115,7 @@ class Circuit:
                 gate = step.gate if named else _frozen(np.asarray(step.gate, dtype=np.complex128))
                 gm = named_gate(gate, self.encoding, step.phi) if named else gate
                 gm, _ = _check_step(tensor_to_matrix(gm) if np.ndim(gm) == 3 else gm, step.targets, d, self.width)
-                residual = _unitarity_residual(gm)
-                if not residual <= _GATE_TOL:
-                    raise ValueError(
-                        f"step {index}: gate matrix is not unitary (residual {residual:.3e}, tol {_GATE_TOL:.3e})"
-                    )
+                _unitary(gm, _GATE_TOL, f"step {index}: gate matrix is not unitary")
                 seen[key] = gate, _frozen(gm)
             gate, gm = seen[key]
             _, targets = _check_step(gm, step.targets, d, self.width)
@@ -143,19 +139,17 @@ def _steps(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
 
 def _fold(c: Circuit, amplitudes: np.ndarray) -> QuantumState:
     """The state reached by applying c's checked steps to the amplitudes.
-    A fold that overflows, as numpy's floating-point flags tell at no cost
-    to the others, is redone once on the amplitudes scaled by a power of
-    two near their largest part, which is exact, and its result is scaled
-    back.  Raises ValueError if that result lies beyond the double range."""
+    A fold that overflows or underflows, as numpy's floating-point flags
+    tell at no cost to the others, is redone once on the amplitudes scaled
+    by a power of two near their largest part, which is exact, and its
+    result is scaled back, each part rounded once.  Raises ValueError if
+    that result lies beyond the double range."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", under="raise", invalid="raise"):
             psi = _steps(c, amplitudes)
     except FloatingPointError:
         scaled, e = _prescale(amplitudes)
-        psi, k = _prescale(_steps(c, scaled))
-        if e + k > np.finfo(np.float64).maxexp:
-            raise ValueError("circuit state exceeds the double range") from None
-        psi = np.ldexp(psi.view(np.float64), e + k).view(np.complex128)
+        psi = _scale_back(_steps(c, scaled), e, "circuit state")
     return QuantumState(psi, c.encoding, c.width)
 
 

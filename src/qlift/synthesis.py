@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _layout
-from .linalg import _GATE_TOL, _check_tol, _count, _frozen, _ldexp, _prescale, _unitarity_residual, as_array
-from .linalg import _framed_permutation, _kron_apply, _lone_entries, principal_unitary_sqrt
+from .linalg import _GATE_TOL, _check_tol, _count, _framed_permutation, _frozen, _kron_apply, _ldexp, _lone_entries
+from .linalg import _prescale, _square, _unitarity_residual, _unitary, as_array, principal_unitary_sqrt
 
 __all__ = [
     "ClassicalFunction",
@@ -159,13 +159,9 @@ class SynthesizedGate:
     source: ClassicalFunction
 
     def __post_init__(self):
-        m = _frozen(as_array(self.matrix, 2))
+        m = _frozen(_square(self.matrix, "synthesized gate is not unitary"))
         object.__setattr__(self, "matrix", m)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"synthesized gate is not unitary: shape {m.shape} is not square")
-        residual = _unitarity_residual(m)
-        if not residual <= _GATE_TOL:
-            raise ValueError(f"synthesized gate is not unitary (residual {residual:.3e}, tol {_GATE_TOL:.3e})")
+        _unitary(m, _GATE_TOL, "synthesized gate is not unitary")
 
 
 def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
@@ -213,8 +209,7 @@ def _controlled_block(u) -> np.ndarray:
 def controlled(u) -> np.ndarray:
     """Block matrix diag(I2, u) for a 2x2 unitary u."""
     out = _controlled_block(u)
-    if not _unitarity_residual(out[2:, 2:]) <= _GATE_TOL:
-        raise ValueError("controlled() expects a unitary matrix")
+    _unitary(out[2:, 2:], _GATE_TOL, "controlled() expects a unitary matrix")
     return out
 
 
@@ -287,9 +282,7 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     NaN or negative tol.
     """
     _check_tol(tol)
-    um = as_array(u, 2)
-    if um.shape[0] != um.shape[1]:
-        raise ValueError("expected a square matrix")
+    um = _square(u, "quantization_report")
     d = enc.ambient_dim
     g = f if f.is_reversible and len(um) == d**f.arity_in else reversible_closure(f)
     n = g.arity_in

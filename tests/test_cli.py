@@ -63,11 +63,15 @@ class TestSynth:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
-    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
-    def test_non_orthonormal_encoding_file_is_parse_error(self, capsys, tmp_path, scale):
+    @pytest.mark.parametrize("scale,residual", [("1e200", "inf"), ("1e-200", "1.000e+00")], ids=["1e200", "1e-200"])
+    def test_non_orthonormal_encoding_file_is_parse_error(self, capsys, tmp_path, scale, residual):
+        """The residual ||F^dagger F - I||_F of the frame F = diag(scale, 1)
+        is about scale**2, inf beyond the double range, or 1 once scale**2
+        underflows; the orthonormality tolerance is 1e-12."""
         (tmp_path / "e.enc").write_text(f"dim 2\n0:\n{scale} 0\n1:\n0 1\n")
         code, out, err = run_cli(capsys, "synth", fx("not.tt"), "--encoding", str(tmp_path / "e.enc"))
-        assert (code, out, err) == (2, "", "line 1, column 1: encoding basis vectors are not orthonormal\n")
+        message = f"encoding basis vectors are not orthonormal (residual {residual}, tol 1.000e-12)"
+        assert (code, out, err) == (2, "", f"line 1, column 1: {message}\n")
 
     def test_missing_file_is_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "synth", fx("nope.tt"))
@@ -93,6 +97,11 @@ class TestSqrt:
         (tmp_path / "big.mat").write_text("1 0\n0 1e400\n")
         code, out, err = run_cli(capsys, "sqrt", str(tmp_path / "big.mat"))
         assert (code, out, err) == (2, "", "line 2, column 3: entry '1e400' lies beyond the double range\n")
+
+    def test_non_square_is_domain_error(self, capsys, tmp_path):
+        (tmp_path / "wide.mat").write_text("1 0 0\n0 1 0\n")
+        code, out, err = run_cli(capsys, "sqrt", str(tmp_path / "wide.mat"))
+        assert (code, out, err) == (1, "", "error: principal_unitary_sqrt: shape (2, 3) is not square\n")
 
     def test_non_unitary_is_domain_error(self, capsys, tmp_path):
         shear = tmp_path / "shear.mat"
@@ -180,6 +189,14 @@ class TestRun:
         circ.write_text("encoding qubit\nwidth 1\nshear.mat 0\n")
         code, out, err = run_cli(capsys, "run", str(circ), "--input", "0")
         assert code == 1 and not out and "not unitary" in err
+
+    def test_non_square_gate_file_is_parse_error(self, capsys, tmp_path):
+        """A 2x3 matrix file is refused for its shape, at the statement's gate."""
+        (tmp_path / "wide.mat").write_text("1 0 0\n0 1 0\n")
+        circ = tmp_path / "wide.circ"
+        circ.write_text("encoding qubit\nwidth 1\nwide.mat 0\n")
+        code, out, err = run_cli(capsys, "run", str(circ), "--input", "0")
+        assert (code, out, err) == (2, "", "line 3, column 1: gate matrix: shape (2, 3) is not square\n")
 
     def test_non_unitary_controlled_gate_is_domain_error(self, capsys, tmp_path):
         (tmp_path / "shear.mat").write_text("1 1\n0 1\n")

@@ -357,8 +357,8 @@ class TestCircuitFormat:
         """Ten statements share one matrix: the circuit checks and copies it
         once."""
         calls = []
-        real = sim._unitarity_residual
-        monkeypatch.setattr(sim, "_unitarity_residual", lambda *args: calls.append(1) or real(*args))
+        real = sim._unitary
+        monkeypatch.setattr(sim, "_unitary", lambda *args: calls.append(1) or real(*args))
         circ = qio.parse_circuit("encoding ququart\nwidth 2\n" + "SQRT_NOT 0\n" * 10).to_circuit()
         assert len(calls) == 1
         assert all(gm is circ._checked[0][0] for gm, _ in circ._checked)

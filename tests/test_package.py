@@ -44,7 +44,7 @@ def test_traced_names_resolve(monkeypatch):
     assert not missing
 
 
-@pytest.mark.parametrize("script", ["bell_pipeline.py", "not_variant_census.py"])
+@pytest.mark.parametrize("script", ["bell_pipeline.py", "cli_transcript.py", "not_variant_census.py"])
 def test_script_runs(script, capsys):
     runpy.run_path(os.path.join(ROOT, "scripts", script), run_name="__main__")
     assert capsys.readouterr().out

@@ -80,6 +80,10 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="unitary"):
             sim.apply_gate(en.encode_bits(QUBIT, "0"), np.array([[1, 1], [0, 1]]), (0,))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"^gate matrix: shape \(2, 3\) is not square$"):
+            sim.apply_gate(en.encode_bits(QUBIT, "0"), np.eye(2, 3), (0,))
+
     def test_rejects_bad_targets(self):
         s = en.encode_bits(QUBIT, "00")
         with pytest.raises(ValueError, match="out of range"):
@@ -235,6 +239,11 @@ class TestCircuitConstruction:
         with pytest.raises(ValueError, match=message):
             sim.Circuit(QUBIT, 2, steps)
 
+    def test_shape_is_checked_before_the_targets(self):
+        """A 2x3 gate on an out-of-range target is refused for its shape."""
+        with pytest.raises(ValueError, match=r"^gate matrix: shape \(2, 3\) is not square$"):
+            sim.Circuit(QUBIT, 2, (sim.CircuitStep(np.eye(2, 3), (5,)),))
+
     @pytest.mark.parametrize("phi", [1j, np.complex128(0.3), "0.3"])
     def test_r_angle_must_be_real(self, phi):
         with pytest.raises(ValueError, match="phase angle must be a finite real number"):
@@ -251,7 +260,7 @@ class TestCircuitConstruction:
             sim.Circuit(QUBIT, 2, (sim.CircuitStep(name, targets, phi=0.3),))
 
     def test_each_step_resolved_and_checked_once(self, monkeypatch):
-        calls = dict.fromkeys(["_unitarity_residual", "named_gate", "QuantumState"], 0)
+        calls = dict.fromkeys(["_unitary", "named_gate", "QuantumState"], 0)
 
         def count(name):
             real = getattr(sim, name)
@@ -279,9 +288,9 @@ class TestCircuitConstruction:
         )
         circ = sim.Circuit(QUBIT, 3, steps)
         # Six distinct named gates (SQRT_NOT twice) and three array gates.
-        assert calls == {"_unitarity_residual": 9, "named_gate": 6, "QuantumState": 0}
+        assert calls == {"_unitary": 9, "named_gate": 6, "QuantumState": 0}
         outs = [sim.run_circuit(circ, "010") for _ in range(3)]
-        assert calls == {"_unitarity_residual": 9, "named_gate": 6, "QuantumState": 3}
+        assert calls == {"_unitary": 9, "named_gate": 6, "QuantumState": 3}
         assert all(np.array_equal(o.amplitudes, outs[0].amplitudes) for o in outs)
 
     def test_named_gate_synthesized_once_per_circuit(self, monkeypatch):

@@ -11,7 +11,7 @@ from qlift import encodings as en
 from qlift import io as qio
 from qlift import linalg as la
 from qlift import synthesis as sy
-from qlift.simulator import Circuit, CircuitStep
+from qlift.simulator import Circuit, CircuitStep, apply_gate
 from helpers import random_bijection_table, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -291,6 +291,72 @@ class TestOneGateTolerance:
         with pytest.raises(ValueError, match="requires a unitary matrix") as root:
             la.principal_unitary_sqrt(self.U, tol=1e-10)
         assert str(root.value).endswith(f"(residual {la._unitarity_residual(self.U):.3e}, tol 1.000e-10)")
+
+
+class TestGateRules:
+    """Every square check is linalg._square and every check that a matrix is
+    unitary enough to be a gate is linalg._unitary, so each site raises one
+    message form with the shape, or with the residual and the tolerance."""
+
+    @pytest.mark.parametrize(
+        "call,what",
+        [
+            (lambda m: la.principal_unitary_sqrt(m), "principal_unitary_sqrt"),
+            (lambda m: la.is_unitary(m, 1e-9), "is_unitary"),
+            (lambda m: sy.quantization_report(m, NEGATION, QUBIT, 1e-9), "quantization_report"),
+            (lambda m: sy.SynthesizedGate(m, QUBIT, NEGATION), "synthesized gate is not unitary"),
+            (lambda m: Circuit(QUBIT, 1, [CircuitStep(m, (0,))]), "gate matrix"),
+            (lambda m: apply_gate(en.encode_bits(QUBIT, "0"), m, (0,)), "gate matrix"),
+        ],
+        ids=["root", "is_unitary", "report", "synthesized", "circuit", "apply_gate"],
+    )
+    def test_square_sites(self, call, what):
+        with pytest.raises(ValueError) as err:
+            call(np.eye(2, 3))
+        assert str(err.value) == f"{what}: shape (2, 3) is not square"
+
+    def test_square_coerces_and_checks_the_rank_first(self):
+        got = la._square([[1, 2], [3, 4]], "m")
+        assert got.dtype == np.complex128 and np.array_equal(got, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=r"^expected a matrix, got shape \(3,\)$"):
+            la.principal_unitary_sqrt(np.ones(3))
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: sy.controlled(2 * np.eye(2)), "controlled() expects a unitary matrix"),
+            (lambda: sy.SynthesizedGate(2 * np.eye(2), QUBIT, NEGATION), "synthesized gate is not unitary"),
+            (
+                lambda: Circuit(QUBIT, 1, [CircuitStep("H", (0,)), CircuitStep(2 * np.eye(2), (0,))]),
+                "step 1: gate matrix is not unitary",
+            ),
+            (lambda: la.principal_unitary_sqrt(2 * np.eye(2)), "principal_unitary_sqrt requires a unitary matrix"),
+        ],
+        ids=["controlled", "synthesized", "circuit", "root"],
+    )
+    def test_unitary_sites(self, call, message):
+        """||(2I)^dagger (2I) - I||_F = 3 sqrt(2) against the gate tolerance."""
+        assert f"{la._unitarity_residual(2 * np.eye(2)):.3e}" == "4.243e+00"
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{message} (residual 4.243e+00, tol 1.000e-09)"
+
+    def test_root_at_zero_tolerance(self):
+        """1.00000000025 X is no permutation matrix, so its residual,
+        7.071e-10, is held to tol = 0."""
+        with pytest.raises(ValueError) as err:
+            la.principal_unitary_sqrt(1.00000000025 * X, tol=0)
+        assert str(err.value) == "principal_unitary_sqrt requires a unitary matrix (residual 7.071e-10, tol 0.000e+00)"
+
+    @pytest.mark.parametrize(
+        "basis1,residual", [([[1, 1]], "1.732e+00"), ([[0, 1e200]], "inf")], ids=["skew", "1e200"]
+    )
+    def test_encoding_frame(self, basis1, residual):
+        """The frame [[1, 1], [0, 1]] is off orthonormal by sqrt(3); one of
+        norm 1e200 by about 1e400, beyond the double range."""
+        with pytest.raises(ValueError) as err:
+            en.Encoding("e", 2, [[1, 0]], basis1)
+        assert str(err.value) == f"encoding basis vectors are not orthonormal (residual {residual}, tol 1.000e-12)"
 
 
 class TestSqrtGate:
