@@ -68,8 +68,10 @@ class ConvergenceError(RuntimeError):
     """An iterative routine failed to converge within its iteration cap.
 
     For the Jacobi SVD, `sweeps` is the number of sweeps used and
-    `off_diagonal` the largest remaining column-pair ratio
-    |w_i^dagger w_j| / (||w_i|| ||w_j||).
+    `off_diagonal` the largest remaining column cosine
+    |w_i^dagger w_j| / (||w_i|| ||w_j||) of the rotated R^dagger (see svd),
+    which exceeds _JACOBI_TOL: a cap reached with every pair within it is no
+    failure.
     """
 
     def __init__(self, message: str, sweeps: int | None = None, off_diagonal: float | None = None):
@@ -457,43 +459,58 @@ def _jacobi_orthogonalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             x[i] = c[:, None] * xi - (s * phase)[:, None] * xj
             x[j] = s[:, None] * xi + (c * phase)[:, None] * xj
         if not rotated:
-            return x[:, :m].T, x[:, m:].T
-    off = _off_diagonal(x[:, :m].T)
-    raise ConvergenceError(
-        f"Jacobi SVD did not converge within {_JACOBI_MAX_SWEEPS} sweeps: largest "
-        f"column-pair ratio {off:.3e} above the tolerance {_JACOBI_TOL:.0e}",
-        sweeps=_JACOBI_MAX_SWEEPS,
-        off_diagonal=off,
-    )
+            break
+    else:
+        off = _off_diagonal(x[:, :m].T)
+        if off > _JACOBI_TOL:
+            raise ConvergenceError(
+                f"Jacobi SVD did not converge within {_JACOBI_MAX_SWEEPS} sweeps: largest "
+                f"column cosine {off:.3e} above the tolerance {_JACOBI_TOL:.0e}",
+                sweeps=_JACOBI_MAX_SWEEPS,
+                off_diagonal=off,
+            )
+    return x[:, :m].T, x[:, m:].T
 
 
 def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition by one-sided Jacobi rotations.
+    """Singular value decomposition by one-sided Jacobi rotations on the
+    triangular factor of a sorted Householder QR.
 
     Returns (u, s, v) with orthonormal columns in u and v, s sorted descending,
     and m = u @ diag(s) @ v.conj().T.  Economy-sized: s has min(rows, cols)
-    entries.  The input is scaled by a power of two near its largest entry
-    first and s scaled back, so no square in the sweeps overflows or
+    entries.  The input (conjugate-transposed if it has fewer rows than
+    columns, so that it is tall) is scaled by a power of two near its largest
+    entry first and s scaled back, so no square in the sweeps overflows or
     underflows; singular values below about 1.5e-147 times the largest entry
-    come back as 0 (see _JACOBI_FLOOR).  The singular vectors of the zero
-    values on the rotated side are the trailing columns of the reduced
-    Householder QR (np.linalg.qr) of those of the nonzero values padded with
-    zero columns, so that factor is orthonormal at any rank and the QR works
-    in the input's own rows x cols.  Raises ValueError if the largest
-    singular value exceeds the double range and ConvergenceError if the sweep
-    cap is exceeded.
+    come back as 0 (see _JACOBI_FLOOR).  Its rows are sorted by decreasing
+    norm, which keeps the QR backward stable row by row on row-graded input,
+    and its columns by decreasing norm, which stands in for column pivoting
+    (numpy has no pivoted QR) and cuts the sweeps (Drmac and Veselic, 2008).
+    The Jacobi sweeps then orthogonalize the columns of the square R^dagger
+    of the reduced QR = Q R: the column norms of the rotated R^dagger are s,
+    its unit columns the right factor and Q times the accumulated rotation
+    the left factor, orthonormal at any rank, each with its sort undone.
+    The right factor's vectors of the zero values are the trailing columns
+    of the reduced QR of those of the nonzero values padded with zero
+    columns, so that factor is orthonormal at any rank too and the
+    completion works in min(rows, cols) squared.  Raises ValueError if the
+    largest singular value exceeds the double range and ConvergenceError if
+    the sweep cap is exceeded.
     """
     a = as_array(m, 2)
     rows, cols = a.shape
     transposed = rows < cols
     w, e = _prescale(a.conj().T if transposed else a)
-    w, r = _jacobi_orthogonalize(w)
+    rp = np.argsort(-np.linalg.norm(w, axis=1), kind="stable")
+    cp = np.argsort(-np.linalg.norm(w, axis=0), kind="stable")
+    q, r = np.linalg.qr(w[rp][:, cp])
+    w, v = _jacobi_orthogonalize(r.conj().T)
 
     norms = np.linalg.norm(w, axis=0)
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
     w = w[:, order]
-    r = r[:, order]
+    v = v[:, order]
     if math.frexp(norms[0])[1] + e > np.finfo(np.float64).maxexp:
         raise ValueError("the largest singular value exceeds the double range")
 
@@ -502,11 +519,14 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if rank < len(norms):
         padded = np.hstack([uw, np.zeros((len(uw), len(norms) - rank))])
         uw = np.hstack([uw, np.linalg.qr(padded)[0][:, rank:]])
+    left, right = np.empty_like(q), np.empty_like(uw)
+    left[rp] = q @ v
+    right[cp] = uw
 
     sigma = np.ldexp(norms, e)
     if transposed:
-        return r, sigma, uw
-    return uw, sigma, r
+        return right, sigma, left
+    return left, sigma, right
 
 
 @functools.lru_cache(maxsize=256)

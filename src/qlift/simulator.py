@@ -62,6 +62,12 @@ def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple[in
     """The step rule: a d^k x d^k matrix acts on k distinct integer targets in
     range(width).  Returns (complex matrix, int targets) or raises ValueError."""
     gm = _square(gate, "gate matrix")
+    return gm, _check_targets(len(gm), targets, d, width)
+
+
+def _check_targets(dim: int, targets, d: int, width: int) -> tuple[int, ...]:
+    """_check_step's rule for the targets of a square matrix of dimension
+    dim that has passed it already: returns the int targets."""
     try:
         targets = tuple(map(operator.index, targets))
     except TypeError:
@@ -72,12 +78,12 @@ def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple[in
         if not 0 <= t < width:
             raise ValueError(f"target index {t} out of range for width {width}")
     k = len(targets)
-    if gm.shape != (d**k, d**k):
+    if dim != d**k:
         raise ValueError(
-            f"gate of dimension {gm.shape[0]} cannot act on {k} target(s) "
+            f"gate of dimension {dim} cannot act on {k} target(s) "
             f"of dimension {d} (expected {d**k})"
         )
-    return gm, targets
+    return targets
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ class Circuit:
                 _unitary(gm, _GATE_TOL, f"step {index}: gate matrix is not unitary")
                 seen[key] = gate, _frozen(gm)
             gate, gm = seen[key]
-            _, targets = _check_step(gm, step.targets, d, self.width)
+            targets = _check_targets(len(gm), step.targets, d, self.width)
             steps.append(step if named else CircuitStep(gate, step.targets, step.phi))
             checked.append((gm, targets))
         object.__setattr__(self, "steps", tuple(steps))

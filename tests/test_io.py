@@ -363,6 +363,17 @@ class TestCircuitFormat:
         assert len(calls) == 1
         assert all(gm is circ._checked[0][0] for gm, _ in circ._checked)
 
+    def test_each_gate_token_coerced_once(self, monkeypatch):
+        """Thirty statements over two tokens: parsing coerces two matrices
+        and the circuit built from them two more."""
+        calls = []
+        real = sim._square
+        monkeypatch.setattr(sim, "_square", lambda *args: calls.append(1) or real(*args))
+        doc = qio.parse_circuit("encoding qubit\nwidth 3\n" + "H 0\nCNOT 1 2\nH 2\n" * 10)
+        assert len(calls) == 2
+        doc.to_circuit()
+        assert len(calls) == 4
+
     def test_a_bad_gate_token_is_reported_at_each_statement(self):
         with pytest.raises(qio.ParseError) as err:
             qio.parse_circuit("encoding qubit\nwidth 2\nFROB 0\nH 1\nFROB 1\n")

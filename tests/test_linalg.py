@@ -148,6 +148,12 @@ class TestKronApply:
             la.kron_apply([np.eye(2)], np.array([bad, 0.0]))
 
 
+# Rows and columns already in decreasing norm and the largest entry in
+# [0.5, 1), so svd factors this very matrix: R^dagger's two columns have a
+# cosine of 1/sqrt(5), far from orthogonal.
+SKEWED_R = np.array([[0.5, 0.25], [0.0, 0.25]], dtype=complex)
+
+
 class TestSvd:
     def test_bell_coefficient_matrix(self):
         """The flipped coefficient matrix has two equal singular values."""
@@ -227,7 +233,15 @@ class TestSvd:
     def test_sweep_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(la.ConvergenceError, match="converge"):
-            la.svd(np.ones((2, 2)))
+            la.svd(SKEWED_R)
+
+    def test_sweep_cap_spares_an_already_orthogonal_r(self, monkeypatch):
+        """ones((2, 2)) = Q R with a zero second row of R, so the columns of
+        R^dagger are orthogonal before any sweep: a cap of 0 is no failure."""
+        monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 0)
+        u, s, v = la.svd(np.ones((2, 2)))
+        assert s == pytest.approx([2.0, 0.0], abs=1e-15)
+        assert np.allclose((u * s) @ v.conj().T, np.ones((2, 2)), atol=1e-15)
 
 
 def assert_valid_svd(a):
@@ -332,9 +346,12 @@ class TestSvdProperties:
         assert f"{err.value.off_diagonal:.3e}" in str(err.value)
         monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(la.ConvergenceError) as err:
-            la.svd(np.ones((2, 2)))
+            la.svd(SKEWED_R)
         assert err.value.sweeps == 0
-        assert err.value.off_diagonal == pytest.approx(1.0)
+        r = np.linalg.qr(SKEWED_R)[1]
+        assert err.value.off_diagonal == la._off_diagonal(r.conj().T)
+        assert la._JACOBI_TOL < err.value.off_diagonal <= 1.0
+        assert f"{err.value.off_diagonal:.3e}" in str(err.value)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -353,6 +370,44 @@ def test_svd_relative_accuracy_on_two_sided_graded_input(n, seed):
         ref = sorted((float(x) for x in mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)), reverse=True)
     _, s, _ = la.svd(a)
     assert np.all(np.abs(s - ref) <= 1e-11 * np.array(ref))
+
+
+def mp_singular_values(a):
+    """a's singular values, descending, from a 40-digit mpmath SVD."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array(sorted((float(x) for x in mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)), reverse=True))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [(24, 24), (32, 12)])
+def test_svd_relative_accuracy_on_row_graded_input_in_any_row_order(shape, seed):
+    """D B with B standard normal and D grading the rows 1 ... 1e-14 (the
+    rows beyond the column count at 1e-14) in permuted order: every singular
+    value is accurate to 1e-11 relative.  This needs the row sort before the
+    QR; without it the worst error was 5e-6 to 1e-3 on these inputs."""
+    rows, cols = shape
+    rng = np.random.default_rng(seed)
+    grades = np.concatenate([np.logspace(0, -14, cols), np.full(rows - cols, 1e-14)])
+    a = rng.permutation(grades)[:, None] * rng.standard_normal(shape)
+    ref = mp_singular_values(a)
+    _, s, _ = la.svd(a)
+    assert np.all(np.abs(s - ref) <= 1e-11 * ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_svd_on_two_sided_graded_input_within_ten_sweeps(monkeypatch, seed):
+    """On 32x32 D1 B D2 with both gradings permuted, the sorted QR leaves
+    an R^dagger that 5-6 sweeps orthogonalize, accurate to 1e-11 relative.
+    This needs the column sort before the QR; without it, as without the QR,
+    it took 19-24 sweeps."""
+    monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 10)
+    rng = np.random.default_rng(seed)
+    grades = np.logspace(0, -14, 32)
+    a = rng.permutation(grades)[:, None] * rng.standard_normal((32, 32)) * rng.permutation(grades)
+    ref = mp_singular_values(a)
+    _, s, _ = la.svd(a)
+    assert np.all(np.abs(s - ref) <= 1e-11 * ref)
 
 
 class TestPrincipalSqrt:

@@ -17,10 +17,18 @@ tensor_to_matrix, matrix_to_tensor and coefficient_matrix only move entries
 (test_linalg's test_reshapes_are_exact).  run_circuit, encode_bits,
 logical_subspace, fixed_complement, the named gates, synthesis and
 enumeration take no numeric input to scale.
+
+At the ends of the range, where no power of two is exact, svd, schmidt and
+classify_bipartite are held to a reference instead: on subnormal entries,
+on a row or column spanning both extremes, and on the largest double next
+to the smallest, each singular value matches the exact one to 1e-11
+relative, or is 0 where the documented floor puts it, and both factors stay
+orthonormal.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +209,60 @@ def test_quantization_report_residuals(name, kind, seed, data):
     want = residuals(u)
     for k in scales(data, u):
         assert same(residuals(times(u, k)), times(want, k))
+
+
+EXTREMES = [
+    [[5e-324, 0], [0, 2e-320]],
+    [[1, 5e-324], [3e-321, 1e-310]],
+    [[1e300, 1], [1e-300, 2]],
+    [[1.7e308, 0], [0, 5e-324]],
+]
+
+
+def exact_singular_values(a) -> list:
+    """The singular values of a real 2x2 matrix as mpmath numbers, from
+    sigma1^2 + sigma2^2 = ||a||_F^2 and sigma1 sigma2 = |det a| at 1300
+    digits, enough for any ratio of doubles."""
+    with mpmath.workdps(1300):
+        (p, q), (r, t) = [[mpmath.mpf(float(x)) for x in row] for row in a]
+        f, det = p * p + q * q + r * r + t * t, abs(p * t - q * r)
+        s1 = mpmath.sqrt((f + mpmath.sqrt(f * f - 4 * det * det)) / 2)
+        return [+s1, det / s1 if s1 else mpmath.mpf(0)]
+
+
+def assert_matches_or_floored(got, want, largest):
+    """got[i] within 1e-11 relative of want[i], or 0 where want[i] lies
+    below the floor of about 1.5e-147 times the largest entry (svd's
+    _JACOBI_FLOOR, scaled back), taken here as 3e-147 times it."""
+    for g, w in zip(got, want):
+        floored = g == 0.0 and w < 3e-147 * largest
+        assert floored or abs(mpmath.mpf(float(g)) - w) <= 1e-11 * w, (g, w)
+
+
+@pytest.mark.parametrize("a", EXTREMES)
+def test_svd_at_the_ends_of_the_range(a):
+    a = np.array(a, dtype=float)
+    u, s, v = la.svd(a)
+    assert_matches_or_floored(s, exact_singular_values(a), np.abs(a).max())
+    assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-15
+    assert np.linalg.norm(v.conj().T @ v - np.eye(2)) <= 1e-15
+    k = -math.frexp(np.abs(a).max())[1]
+    assert np.linalg.norm((u * times(s, k)) @ v.conj().T - times(a, k)) <= 1e-15
+
+
+@pytest.mark.parametrize("a", EXTREMES)
+def test_schmidt_and_classify_bipartite_at_the_ends_of_the_range(a):
+    """The state is a's entries in row-major order, so its Schmidt
+    coefficients are a's singular values normalized."""
+    a = np.array(a, dtype=float)
+    want = exact_singular_values(a)
+    with mpmath.workdps(1300):
+        norm = mpmath.sqrt(sum(w * w for w in want))
+        want = [w / norm for w in want]
+    got = ent.schmidt(a.reshape(-1), 2, 2)
+    assert_matches_or_floored(got.coefficients, want, np.abs(a).max() / norm)
+    assert got.rank == sum(w > ent.RANK_TOL * want[0] for w in want)
+    for basis in (got.left_basis, got.right_basis):
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(2)) <= 1e-15
+    kind = ent.Separability.SEPARABLE if got.rank == 1 else ent.Separability.ENTANGLED
+    assert ent.classify_bipartite(a.reshape(-1), 2, 2) is kind

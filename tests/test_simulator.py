@@ -293,6 +293,23 @@ class TestCircuitConstruction:
         assert calls == {"_unitary": 9, "named_gate": 6, "QuantumState": 3}
         assert all(np.array_equal(o.amplitudes, outs[0].amplitudes) for o in outs)
 
+    def test_each_distinct_gate_coerced_once(self, monkeypatch):
+        """Sixty steps over three distinct gates coerce three matrices; a
+        repeated gate has only its targets checked, with the same errors."""
+        calls = []
+        real = sim._square
+        monkeypatch.setattr(sim, "_square", lambda *args: calls.append(args) or real(*args))
+        u = random_unitary(np.random.default_rng(41), 4)
+        layer = (sim.CircuitStep("H", (0,)), sim.CircuitStep(u, (1, 2)), sim.CircuitStep("CNOT", (2, 0)))
+        sim.Circuit(QUBIT, 3, layer * 20)
+        assert len(calls) == 3
+        with pytest.raises(ValueError, match=r"^target index 3 out of range for width 3$"):
+            sim.Circuit(QUBIT, 3, layer + (sim.CircuitStep(u, (1, 3)),))
+        with pytest.raises(ValueError, match=r"^gate of dimension 4 cannot act on 1 target\(s\) of dimension 2 \(expected 2\)$"):
+            sim.Circuit(QUBIT, 3, layer + (sim.CircuitStep(u, (1,)),))
+        with pytest.raises(ValueError, match=r"^duplicate target indices \(2, 2\)$"):
+            sim.Circuit(QUBIT, 3, layer + (sim.CircuitStep("H", (2, 2)),))
+
     def test_named_gate_synthesized_once_per_circuit(self, monkeypatch):
         """Ten SQRT_NOT steps synthesize NOT and take its root once; R steps
         with different angles are distinct gates."""
