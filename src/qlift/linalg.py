@@ -191,6 +191,25 @@ def _scale_back(y: np.ndarray, e: int, what: str) -> np.ndarray:
     return np.ldexp(f, e).view(y.dtype)
 
 
+def _in_range(compute, operands, what: str) -> np.ndarray:
+    """The one range rule of kron, kron_apply, tensor_apply and the circuit
+    fold: compute(*operands), or, if numpy flags an overflow, underflow or
+    invalid operation in it, compute on each operand scaled by a power of two
+    near its largest part (_prescale) and scale back (_scale_back, naming
+    `what`).  compute must be built from operations that report the flags:
+    ufuncs, matmul and dot do, einsum does not.  The result is accurate
+    normwise: each entry's error is a few units of roundoff, times the terms
+    summed per entry, of the product M of the operands' largest entries, or
+    a few subnormal spacings 2**-1074 where M is smaller, so an entry far
+    below M can come back as 0 from a redo."""
+    try:
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            return compute(*operands)
+    except FloatingPointError:
+        parts = [_prescale(a) for a in operands]
+        return _scale_back(compute(*(a for a, _ in parts)), sum(e for _, e in parts), what)
+
+
 def _norm(x: np.ndarray) -> float:
     """2-norm that no square overflows or underflows: scale by the largest
     entry, take the norm, scale back.  0.0 for the zero array, inf for a norm
@@ -327,11 +346,11 @@ def kron(a, b) -> np.ndarray:
 
     Entry ((i1,i2),(j1,j2)) of the result is a[i1,j1]*b[i2,j2] under row-major
     flattening of the paired indices.  Accepts two vectors (returning a vector)
-    or two matrices (returning a matrix).  A product that overflows or
-    underflows is formed again from the operands scaled by powers of two,
-    exactly, and scaled back, so each entry is the exact product rounded
-    once.  Raises ValueError if an entry of the product exceeds the double
-    range.
+    or two matrices (returning a matrix).  Under the range rule (_in_range)
+    each entry is within a few units of roundoff of the product M of the
+    largest entries of a and b, and an entry far below M can underflow to 0:
+    kron([5e-324, 1], [0.5, 1]) gives 0 for the representable 5e-324.
+    Raises ValueError if an entry of the product exceeds the double range.
     """
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
@@ -339,12 +358,7 @@ def kron(a, b) -> np.ndarray:
         raise ValueError("kron expects vectors or matrices")
     if not (np.isfinite(aa).all() and np.isfinite(bb).all()):
         raise ValueError("kron operand contains NaN or Inf entries")
-    try:
-        with np.errstate(over="raise", under="raise", invalid="raise"):
-            return np.kron(aa, bb)
-    except FloatingPointError:
-        (aa, ea), (bb, eb) = _prescale(aa), _prescale(bb)
-        return _scale_back(np.kron(aa, bb), ea + eb, "kron product")
+    return _in_range(np.kron, (aa, bb), "kron product")
 
 
 def kron_apply(mats, x) -> np.ndarray:
@@ -354,31 +368,27 @@ def kron_apply(mats, x) -> np.ndarray:
     column counts.  Each factor in turn contracts the leading index of x and
     the result index moves to the back, so after the last factor the indices
     are back in order.  The cost is one small matmul per factor over len(x)
-    entries instead of a product-sized matrix.  Each factor and x are first
-    scaled by a power of two near their largest entry, exactly, and the
-    result scaled back, so no partial product overflows, even with factors
-    at opposite extreme scales.  The result is accurate normwise, not
-    entrywise: each entry's error is a few units of roundoff, times the
-    factors' column counts, of the product M of the largest entries of the
-    factors and x, and an entry far below M can underflow to 0:
-    kron_apply([diag(1e300, 1), diag(1e-300, 1)], ones(4)) gives 0 for the
-    exact 1e-300.  Raises ValueError for NaN or Inf entries and if an entry
-    of the result exceeds the double range.
+    entries instead of a product-sized matrix.  Under the range rule
+    (_in_range) even factors at opposite extreme scales give a result inside
+    the range.  It is accurate normwise, not entrywise: each entry's error is
+    a few units of roundoff, times the factors' column counts, of the product
+    M of the largest entries of the factors and x, and an entry far below M
+    can underflow to 0: kron_apply([diag(1e300, 1), diag(1e-300, 1)],
+    ones(4) * 1e-10) gives 0 for the exact 1e-310.  Raises ValueError for
+    NaN or Inf entries and if an entry of the result exceeds the double range.
     """
     if any(np.ndim(a) != 2 for a in mats):
         raise ValueError(f"kron_apply factors must be matrices, got shapes {[np.shape(a) for a in mats]}")
-    parts = [_prescale(np.asarray(a, np.complex128 if np.iscomplexobj(a) else np.float64)) for a in (*mats, x)]
-    if not all(np.isfinite(a).all() for a, _ in parts):
+    operands = [np.asarray(a, np.complex128 if np.iscomplexobj(a) else np.float64) for a in (*mats, x)]
+    if not all(np.isfinite(a).all() for a in operands):
         raise ValueError("kron_apply operand contains NaN or Inf entries")
-    y = _kron_apply([a for a, _ in parts[:-1]], parts[-1][0])
-    return _scale_back(y, sum(k for _, k in parts), "kron_apply result")
+    return _in_range(lambda *ops: _kron_apply(ops[:-1], ops[-1]), operands, "kron_apply result")
 
 
 def _kron_apply(mats, x) -> np.ndarray:
-    """kron_apply without the scaling and the range check they cost on every
-    call.  For callers whose partial products stay far inside the
-    double range: unit-scale frame factors on a normalized or prescaled
-    operand."""
+    """kron_apply without the checks and the range rule.  For callers whose
+    partial products stay far inside the double range: unit-scale frame
+    factors on a normalized or prescaled operand."""
     x = np.asarray(x)
     cols = [m.shape[1] for m in mats]
     if x.ndim not in (1, 2) or x.shape[0] != math.prod(cols):
@@ -511,8 +521,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     norms = norms[order]
     w = w[:, order]
     v = v[:, order]
-    if math.frexp(norms[0])[1] + e > np.finfo(np.float64).maxexp:
-        raise ValueError("the largest singular value exceeds the double range")
+    sigma = _scale_back(norms, e, "the largest singular value")
 
     rank = np.count_nonzero(norms)
     uw = w[:, :rank] / norms[:rank]
@@ -523,7 +532,6 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     left[rp] = q @ v
     right[cp] = uw
 
-    sigma = np.ldexp(norms, e)
     if transposed:
         return right, sigma, left
     return left, sigma, right
@@ -656,11 +664,11 @@ def tensor_apply(t, x) -> np.ndarray:
 
     Computes y_k = trace(slice_k @ x) for each slice and reshapes y back into
     the shape of x, so the slices of a rows x cols state are cols x rows.
-    Equivalent to unres(G @ res(x)) for G = tensor_to_matrix(t).  t and x
-    are scaled by powers of two near their largest parts first, exactly, and
-    y is scaled back, so that no partial sum overflows and y at any scale
-    is y at unit scale rounded once.  Raises ValueError if an entry of y
-    exceeds the double range.
+    That is unres(G @ res(x)) for G = tensor_to_matrix(t), computed as
+    res(x^T) @ t.reshape(rows * cols, slices), a view of a C-ordered t, under
+    the range rule (_in_range): each entry's error is a few units of roundoff,
+    times the slice size, of the product of the largest entries of t and x.
+    Raises ValueError if an entry of y exceeds the double range.
     """
     tt = as_array(t, 3)
     xm = as_array(x, 2)
@@ -668,8 +676,8 @@ def tensor_apply(t, x) -> np.ndarray:
         raise ValueError(f"tensor slices {tt.shape[:2]} do not act on a state of shape {xm.shape}")
     if tt.shape[2] != xm.size:
         raise ValueError(f"expected {xm.size} slices, got {tt.shape[2]}")
-    (tt, et), (xs, ex) = _prescale(tt), _prescale(xm)
-    return _scale_back(np.einsum("ijk,ji->k", tt, xs), et + ex, "tensor_apply result").reshape(xm.shape)
+    y = _in_range(np.matmul, (xm.T.reshape(-1), tt.reshape(-1, tt.shape[2])), "tensor_apply result")
+    return y.reshape(xm.shape)
 
 
 def tensor_to_matrix(t) -> np.ndarray:

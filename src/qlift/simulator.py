@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, QuantumState, encode_bits
-from .linalg import _GATE_TOL, _count, _frozen, _prescale, _scale_back, _square, _unitary, tensor_to_matrix
+from .linalg import _GATE_TOL, _count, _frozen, _in_range, _square, _unitary, tensor_to_matrix
 from .synthesis import named_gate
 
 __all__ = [
@@ -144,19 +144,9 @@ def _steps(c: Circuit, amplitudes: np.ndarray) -> np.ndarray:
 
 
 def _fold(c: Circuit, amplitudes: np.ndarray) -> QuantumState:
-    """The state reached by applying c's checked steps to the amplitudes.
-    A fold that overflows or underflows, as numpy's floating-point flags
-    tell at no cost to the others, is redone once on the amplitudes scaled
-    by a power of two near their largest part, which is exact, and its
-    result is scaled back, each part rounded once.  Raises ValueError if
-    that result lies beyond the double range."""
-    try:
-        with np.errstate(over="raise", under="raise", invalid="raise"):
-            psi = _steps(c, amplitudes)
-    except FloatingPointError:
-        scaled, e = _prescale(amplitudes)
-        psi = _scale_back(_steps(c, scaled), e, "circuit state")
-    return QuantumState(psi, c.encoding, c.width)
+    """The state reached by applying c's checked steps to the amplitudes
+    under the range rule (_in_range); ValueError beyond the double range."""
+    return QuantumState(_in_range(lambda a: _steps(c, a), (amplitudes,), "circuit state"), c.encoding, c.width)
 
 
 def apply_gate(s: QuantumState, g, targets) -> QuantumState:

@@ -21,6 +21,11 @@ finite_complex = st.complex_numbers(
 )
 
 
+def same_bits(got, want) -> bool:
+    """Bit for bit: dtype, shape and every byte."""
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def complex_matrix(rows, cols):
     return st.lists(
         st.lists(finite_complex, min_size=cols, max_size=cols),
@@ -89,6 +94,16 @@ class TestKron:
         with pytest.raises(ValueError, match="double range"):
             la.kron([1e200, 0], [1e200, 0])
 
+    def test_accuracy_is_normwise(self):
+        """The exact product is [2**-1075, 5e-324, 0.5, 1].  Its first entry
+        underflows, so the product is formed again from the operands scaled
+        down by 2, which flushes the representable 5e-324 to 0 too: each
+        entry is within a unit of roundoff of M = 1, the product of the
+        largest entries, but not of its exact value."""
+        got = la.kron([5e-324, 1.0], [0.5, 1.0])
+        assert np.array_equal(got, [0.0, 0.0, 0.5, 1.0])
+        assert np.abs(got - [0.0, 5e-324, 0.5, 1.0]).max() <= np.finfo(float).eps
+
 
 class TestKronApply:
     @given(st.data(), st.integers(min_value=1, max_value=4), st.booleans(), st.integers(0, 2))
@@ -141,6 +156,18 @@ class TestKronApply:
         exact = np.array([1.0, 1e300, 1e-300, 1.0])
         assert np.abs(got - exact).max() <= 4 * 2 * np.finfo(float).eps * 1e300
         assert np.array_equal(got[[0, 1, 3]], exact[[0, 1, 3]])
+
+    def test_contraction_inside_the_range_is_not_scaled(self):
+        """No range fault, so no scaling: scaling x by 2**-997 first would
+        flush its 1e-300 to 0."""
+        x = np.array([1e300, 1e-300])
+        assert same_bits(la.kron_apply([np.eye(2)], x), x)
+
+    def test_products_inside_the_range_are_exact(self):
+        """Every product of the factors' entries and x is representable, so
+        no flag is raised and the 1e-300 comes back exactly."""
+        got = la.kron_apply([np.diag([1e300, 1.0]), np.diag([1e-300, 1.0])], np.ones(4))
+        assert same_bits(got, np.array([1.0, 1e300, 1e-300, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operand_rejected(self, bad):
@@ -828,6 +855,12 @@ class TestGateTensor:
         assert np.array_equal(
             la.tensor_apply(FLIP_TENSOR, x), np.array([[4, 2], [3, 1]], dtype=complex)
         )
+
+    def test_contraction_inside_the_range_is_not_scaled(self):
+        """The identity gate returns a state spanning both extremes as it is."""
+        x = [[1e300, 1e-300]]
+        got = la.tensor_apply(la.matrix_to_tensor(np.eye(2), 1, 2), x)
+        assert same_bits(got, np.array(x, dtype=complex))
 
     def test_zero_tensor(self):
         out = la.tensor_apply(np.zeros((2, 2, 4)), np.array([[1, 2], [3, 4]]))

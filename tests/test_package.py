@@ -1,10 +1,12 @@
 """Every exported or externally looked-up name resolves, and the scripts run."""
 
+import ast
 import importlib
 import importlib.util
 import os
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,22 @@ def test_traced_names_resolve(monkeypatch):
         (m, a) for m, a in pairs if not callable(getattr(importlib.import_module(m), a, None))
     ]
     assert not missing
+
+
+def test_one_range_rule():
+    """The products leave the double range by one rule: np.errstate is
+    called only in linalg._in_range, and no module but linalg imports
+    _scale_back."""
+    calls, imports = [], []
+    for path in sorted(Path(ROOT, "src", "qlift").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "errstate":
+                    calls.append((path.stem, getattr(top, "name", None)))
+                if isinstance(node, ast.ImportFrom) and any(a.name == "_scale_back" for a in node.names):
+                    imports.append(path.stem)
+    assert calls == [("linalg", "_in_range")]
+    assert imports == []
 
 
 @pytest.mark.parametrize("script", ["bell_pipeline.py", "cli_transcript.py", "not_variant_census.py"])

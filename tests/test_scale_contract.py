@@ -18,15 +18,19 @@ tensor_to_matrix, matrix_to_tensor and coefficient_matrix only move entries
 logical_subspace, fixed_complement, the named gates, synthesis and
 enumeration take no numeric input to scale.
 
-At the ends of the range, where no power of two is exact, svd, schmidt and
-classify_bipartite are held to a reference instead: on subnormal entries,
-on a row or column spanning both extremes, and on the largest double next
-to the smallest, each singular value matches the exact one to 1e-11
-relative, or is 0 where the documented floor puts it, and both factors stay
-orthonormal.
+At the ends of the range, where no power of two is exact, the routines
+are held to a reference instead, on subnormal entries, on a row or column
+spanning both extremes, and on the largest double next to the smallest.
+svd, schmidt and classify_bipartite: each singular value matches the exact
+one to 1e-11 relative, or is 0 where the documented floor puts it, and both
+factors stay orthonormal.  kron, kron_apply, tensor_apply and apply_gate,
+which share one range rule: each part is within the documented normwise
+bound of the exact Fraction result, or a ValueError names the double range
+where that result lies beyond it.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -266,3 +270,95 @@ def test_schmidt_and_classify_bipartite_at_the_ends_of_the_range(a):
         assert np.linalg.norm(basis.conj().T @ basis - np.eye(2)) <= 1e-15
     kind = ent.Separability.SEPARABLE if got.rank == 1 else ent.Separability.ENTANGLED
     assert ent.classify_bipartite(a.reshape(-1), 2, 2) is kind
+
+
+# Moderate operands with exact dyadic parts, to pair with the extremes.
+B = np.array([[0.5, 0.25j], [-0.125, 0.5 + 0.25j]])
+V = np.array([0.5, -0.25, 0.125j, 0.5])
+G = np.array([[0.6, 0.8j], [0.8j, 0.6]])  # unitary to within roundoff
+EPS = Fraction(np.finfo(float).eps)
+TINY = Fraction(2) ** -1074
+
+
+def exact(x):
+    """The real and imaginary parts of x as object arrays of Fractions."""
+    x = np.asarray(x, dtype=np.complex128)
+    fraction = np.vectorize(Fraction, otypes=[object])
+    return fraction(x.real), fraction(x.imag)
+
+
+def exact_product(op, a, b):
+    """op(a, b) for a bilinear op (np.kron, np.matmul) on exact operands."""
+    (ar, ai), (br, bi) = a, b
+    return op(ar, br) - op(ai, bi), op(ar, bi) + op(ai, br)
+
+
+def largest(x) -> Fraction:
+    """The largest real or imaginary part of x in magnitude, exactly."""
+    return max(abs(v) for part in exact(x) for v in part.flat)
+
+
+def assert_normwise(call, want, operands, terms):
+    """call() is within the normwise bound of the exact want: each part's
+    error at most a few units of roundoff, times the terms summed per entry,
+    of M, the product of the operands' largest parts, plus the subnormal
+    spacing 2**-1074 per rounding; or call() raises a ValueError naming the
+    double range, exactly when a part of want lies beyond it."""
+    if max(abs(v) for part in want for v in part.flat) > Fraction(np.finfo(float).max):
+        with pytest.raises(ValueError, match="double range"):
+            call()
+        return
+    got = exact(call())
+    bound = 8 * terms * (EPS * math.prod(map(largest, operands)) + TINY)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert all(abs(x - y) <= bound for x, y in zip(g.flat, w.flat))
+
+
+@pytest.mark.parametrize("a", EXTREMES)
+@pytest.mark.parametrize("operands", [lambda a: (a, B), lambda a: (B, a), lambda a: (a, a)], ids=["aB", "Ba", "aa"])
+def test_kron_at_the_ends_of_the_range(a, operands):
+    ops = operands(np.array(a, dtype=float))
+    want = exact_product(np.kron, *map(exact, ops))
+    assert_normwise(lambda: la.kron(*ops), want, ops, 1)
+
+
+@pytest.mark.parametrize("a", EXTREMES)
+@pytest.mark.parametrize(
+    "operands",
+    [lambda a: ([a, B], V), lambda a: ([B, B], a.reshape(-1)), lambda a: ([a, a], a.reshape(-1))],
+    ids=["[a, B] on V", "[B, B] on res(a)", "[a, a] on res(a)"],
+)
+def test_kron_apply_at_the_ends_of_the_range(a, operands):
+    mats, x = operands(np.array(a, dtype=float))
+    dense = exact_product(np.kron, *map(exact, mats))
+    want = exact_product(np.matmul, dense, exact(x))
+    assert_normwise(lambda: la.kron_apply(mats, x), want, [*mats, x], 4)
+
+
+@pytest.mark.parametrize("a", EXTREMES)
+@pytest.mark.parametrize(
+    "operands",
+    [lambda a: (np.kron(B, B), a), lambda a: (np.kron(a, B), V.reshape(2, 2)), lambda a: (np.kron(a, B), a)],
+    ids=["kron(B, B) on a", "kron(a, B) on V", "kron(a, B) on a"],
+)
+def test_tensor_apply_at_the_ends_of_the_range(a, operands):
+    """The gate matrix g is numpy's product, however it rounds: the
+    reference acts with g as given."""
+    g, x = operands(np.array(a, dtype=float))
+    want = exact_product(np.matmul, exact(g), exact(x.reshape(-1)))
+    t = la.matrix_to_tensor(g, 2, 2)
+    assert_normwise(lambda: la.tensor_apply(t, x).reshape(-1), want, [g, x], 4)
+
+
+@pytest.mark.parametrize("a", EXTREMES)
+@pytest.mark.parametrize("target", [0, 1])
+def test_apply_gate_at_the_ends_of_the_range(a, target):
+    """A qubit gate on one of two subsystems of the state a in row-major
+    order, held to kron(G, I) or kron(I, G) on it."""
+    amps = np.ravel(a)
+    s = en.QuantumState(amps, en.builtin_encoding("qubit"), 2)
+    factors = (exact(G), exact(np.eye(2)))
+    full = exact_product(np.kron, *(factors if target == 0 else factors[::-1]))
+    want = exact_product(np.matmul, full, exact(amps))
+    assert_normwise(lambda: sim.apply_gate(s, G, (target,)).amplitudes, want, [G, amps], 2)
