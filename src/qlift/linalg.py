@@ -432,42 +432,53 @@ def _off_diagonal(w: np.ndarray) -> float:
     return float(ratio.max(initial=0.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _round_pairs(n: int) -> tuple[np.ndarray, ...]:
+    """The rounds of _round_robin(n) that have a pair, as read-only (p, 2) indices."""
+    return tuple(_frozen(np.stack(r, axis=1)) for r in _round_robin(n) if len(r[0]))
+
+
 def _jacobi_orthogonalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided (Hestenes) Jacobi in round-robin order: each round rotates
-    its disjoint column pairs of `w` at once, until a whole sweep finds every
-    pair orthogonal.  Returns the rotated w and the accumulated right factor v,
-    with w_in = w v^dagger."""
+    """One-sided (Hestenes) Jacobi in round-robin order, until a whole sweep
+    finds every pair of columns of `w` orthogonal.  A round gathers its
+    disjoint pairs once, takes their norms and inner products by two vecdot
+    calls, zeroes the columns below _JACOBI_FLOOR if one of them is, and
+    rotates all pairs by one batched 2x2 product, in which a pair already
+    orthogonal gets the exact identity.  Returns the rotated w and the
+    accumulated right factor v, with w_in = w v^dagger."""
     m, n = w.shape
     # Row k is column k of w followed by column k of v, so one gather and one
-    # scatter per side of a round move both; wf is a real view of the w part.
+    # scatter per round move both; wf is a real view of the w part.
     x = np.concatenate([w.T, np.eye(n, dtype=np.complex128)], axis=1)
     wf = x.view(np.float64)[:, : 2 * m]
-    rounds = _round_robin(n)
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
-        for i, j in rounds:
-            sq = np.einsum("kl,kl->k", wf, wf)
-            negligible = sq < _JACOBI_FLOOR
-            if negligible.any():
-                wf[negligible] = 0.0
-            xi, xj = x[i], x[j]
-            alpha, beta = sq[i], sq[j]
-            gamma = np.einsum("kl,kl->k", xi[:, :m].conj(), xj[:, :m])
+        for pairs in _round_pairs(n):
+            xp = x[pairs]
+            d = np.vecdot(xp[:, :, :m], xp[:, :, :m]).real
+            if d.min() < _JACOBI_FLOOR:
+                wf[np.einsum("kl,kl->k", wf, wf) < _JACOBI_FLOOR] = 0.0
+                xp = x[pairs]
+                d = np.vecdot(xp[:, :, :m], xp[:, :, :m]).real
+            alpha, beta = d.T
+            gamma = np.vecdot(xp[:, 0, :m], xp[:, 1, :m])
             g = np.abs(gamma)
             live = g > _JACOBI_TOL * (np.sqrt(alpha) * np.sqrt(beta))
             if not live.any():
                 continue
             rotated = True
-            if not live.all():
-                i, j, xi, xj = i[live], j[live], xi[live], xj[live]
-                alpha, beta, gamma, g = alpha[live], beta[live], gamma[live], g[live]
-            tau = (alpha - beta) / (2.0 * g)
-            t = np.where(tau >= 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(tau, 1.0))
+            # t = -sign(tau) / (|tau| + hypot(tau, 1)), tau = (alpha - beta) / 2g, with 2g
+            # multiplied through, is 0 for a pair that is not live; the rotation's phase
+            # phi = conj(gamma) / g sits off the diagonal, so t = 0 gives the identity.
+            diff, g2 = alpha - beta, np.where(live, 2.0 * g, 0.0)
+            t = np.copysign(g2, -diff) / np.where(live, np.abs(diff) + np.hypot(diff, g2), 1.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            phase = (gamma / g).conj()
-            x[i] = c[:, None] * xi - (s * phase)[:, None] * xj
-            x[j] = s[:, None] * xi + (c * phase)[:, None] * xj
+            sphase = c * t * (gamma.conj() / np.maximum(g, np.finfo(np.float64).tiny))
+            rot = np.empty((len(pairs), 2, 2), dtype=np.complex128)
+            rot[:, 0, 0] = rot[:, 1, 1] = c
+            rot[:, 0, 1] = -sphase
+            rot[:, 1, 0] = sphase.conj()
+            x[pairs] = rot @ xp
         if not rotated:
             break
     else:

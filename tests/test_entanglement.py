@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlift import encodings as en
 from qlift import entanglement as ent
@@ -128,3 +130,16 @@ class TestClassifyBipartite:
             u = random_complex(rng, (2,))
             v = random_complex(rng, (2,))
             assert ent.classify_bipartite(np.kron(u, v), 2, 2) is ent.Separability.SEPARABLE
+
+    @given(st.integers(2, 8), st.integers(2, 8), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_schmidt_at_the_rank_threshold(self, dim_a, dim_b, grade, seed):
+        """Second Schmidt value within a factor of 10 of RANK_TOL times the
+        first: the verdict is the one schmidt's rank gives.  A separate
+        values-only sweep rounds differently and could split the two here."""
+        rng = np.random.default_rng(seed)
+        k = min(dim_a, dim_b)
+        spectrum = np.concatenate([[1.0, ent.RANK_TOL * 10.0**grade], ent.RANK_TOL * rng.uniform(0, 0.1, k - 2)])
+        m = (random_unitary(rng, dim_a)[:, :k] * spectrum) @ random_unitary(rng, dim_b)[:, :k].conj().T
+        s = m.reshape(-1)
+        assert ent.classify_bipartite(s, dim_a, dim_b) is ent._separability(ent.schmidt(s, dim_a, dim_b).rank)

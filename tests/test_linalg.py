@@ -380,6 +380,28 @@ class TestSvdProperties:
         assert la._JACOBI_TOL < err.value.off_diagonal <= 1.0
         assert f"{err.value.off_diagonal:.3e}" in str(err.value)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 17, 63])
+    def test_settled_pair_is_left_exactly_as_it_was(self, n):
+        """A leading 1 beside a small random block B / (4n): column 0 is
+        orthogonal to all others from the start, so every round must leave
+        it bit for bit, not rotate it by a near-identity."""
+        a = np.zeros((n + 1, n + 1), dtype=complex)
+        a[0, 0] = 1.0
+        a[1:, 1:] = random_complex(np.random.default_rng(n), (n, n)) / (4 * n)
+        u, s, v = la.svd(a)
+        e0 = np.eye(n + 1)[:, 0]
+        assert s[0] == 1.0
+        assert np.array_equal(np.abs(u[:, 0]), e0) and np.array_equal(np.abs(v[:, 0]), e0)
+
+    @pytest.mark.parametrize(
+        "shape, rank", [((17, 17), 17), ((33, 20), 20), ((20, 33), 20), ((64, 64), 64), ((64, 64), 6), ((64, 16), 4)]
+    )
+    def test_sizes_beyond_the_property_shapes(self, shape, rank):
+        """Odd column counts (a phantom column in each round), both
+        orientations and up to 32 pairs a round, at full and low rank."""
+        rng = np.random.default_rng(sum(shape) + rank)
+        assert_valid_svd(with_spectrum(rng, *shape, rng.uniform(0.1, 1.0, rank)))
+
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", [8, 32])
