@@ -12,9 +12,9 @@ import os
 import sys
 
 from . import io as qio
-from .encodings import _is_bits
+from .encodings import _check_bits
 from .entanglement import _separability, schmidt
-from .linalg import _GATE_TOL, ConvergenceError, principal_unitary_sqrt
+from .linalg import _GATE_TOL, ConvergenceError, _check_tol, _dims, principal_unitary_sqrt
 from .simulator import basis_probabilities, run_circuit
 from .synthesis import (
     NAMED_GATES,
@@ -39,6 +39,15 @@ def _index_digits(d: int, n: int):
     return map("".join, itertools.product([str(k) for k in range(d)], repeat=n))
 
 
+def _option(text: str, read, expects: str):
+    """read(text), or, when read raises ValueError, a ParseError at 1:1
+    saying what the option expects and what it got."""
+    try:
+        return read(text)
+    except ValueError:
+        raise qio.ParseError([qio.Diagnostic(1, 1, f"{expects}, got {text!r}")]) from None
+
+
 def cmd_synth(args) -> int:
     f = qio.parse_truth_table(qio._read_file(args.table))
     enc = qio._resolve_encoding(args.encoding)
@@ -61,10 +70,7 @@ def cmd_sqrt(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if not _is_bits(args.input):
-        raise qio.ParseError(
-            [qio.Diagnostic(1, 1, f"--input expects a string of 0s and 1s, got {args.input!r}")]
-        )
+    _option(args.input, _check_bits, "--input expects a string of 0s and 1s")
     doc = qio.parse_circuit(qio._read_file(args.circuit), base_dir=os.path.dirname(os.path.abspath(args.circuit)))
     state = run_circuit(doc.to_circuit(), args.input)
     print("amplitudes:")
@@ -78,14 +84,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_schmidt(args) -> int:
-    try:
-        dim_a, dim_b = (qio._parse_int(x.strip()) for x in args.dims.split(","))
-    except ValueError:
-        dim_a = dim_b = 0
-    if dim_a < 1 or dim_b < 1:
-        raise qio.ParseError(
-            [qio.Diagnostic(1, 1, f"--dims expects 'A,B' with positive integers, got {args.dims!r}")]
-        )
+    dim_a, dim_b = _option(
+        args.dims,
+        lambda t: _dims(*(qio._parse_int(x.strip()) for x in t.partition(",")[::2]), "subsystem dimension"),
+        "--dims expects 'A,B' with positive integers",
+    )
     vec = qio.parse_state(qio._read_file(args.state))
     result = schmidt(vec, dim_a, dim_b)
     print("coefficients:", " ".join(repr(float(c)) for c in result.coefficients))
@@ -106,14 +109,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        tol = qio._parse_float(args.tol.strip())
-    except ValueError:
-        tol = -1.0
-    if tol < 0:
-        raise qio.ParseError(
-            [qio.Diagnostic(1, 1, f"--tol expects a finite number >= 0, got {args.tol!r}")]
-        )
+    tol = _option(args.tol, lambda t: _check_tol(qio._parse_float(t.strip())), "--tol expects a finite number >= 0")
     m = qio.parse_matrix(qio._read_file(args.matrix))
     f = qio.parse_truth_table(qio._read_file(args.table))
     enc = qio._resolve_encoding(args.encoding)

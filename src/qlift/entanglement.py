@@ -77,6 +77,9 @@ def schmidt(s, dim_a: int, dim_b: int) -> SchmidtResult:
         raise ValueError("cannot decompose the zero vector")
     m = coefficient_matrix(_unit(amps), dim_a, dim_b)
     u, vals, v = svd(m)
+    if len(vals) == 1:
+        # The one coefficient of a unit state is 1, where the QR's norm can round up.
+        vals = np.ones(1)
     rank = int(np.sum(vals > RANK_TOL * vals[0])) if vals[0] > 0 else 0
     return SchmidtResult(vals, rank, u, v.conj())
 

@@ -119,10 +119,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_tol(tol) -> None:
-    """The one tolerance rule: ValueError for a NaN or negative tol."""
+def _check_tol(tol):
+    """The one tolerance rule: tol, or ValueError for a NaN or negative tol."""
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    return tol
 
 
 def _square(u, what: str) -> np.ndarray:
@@ -201,13 +202,15 @@ def _in_range(compute, operands, what: str) -> np.ndarray:
     normwise: each entry's error is a few units of roundoff, times the terms
     summed per entry, of the product M of the operands' largest entries, or
     a few subnormal spacings 2**-1074 where M is smaller, so an entry far
-    below M can come back as 0 from a redo."""
-    try:
-        with np.errstate(over="raise", under="raise", invalid="raise"):
+    below M can come back as 0 from a redo.  The redo runs under numpy's
+    default flags whatever the caller's, which the errstate block restores."""
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        try:
             return compute(*operands)
-    except FloatingPointError:
-        parts = [_prescale(a) for a in operands]
-        return _scale_back(compute(*(a for a, _ in parts)), sum(e for _, e in parts), what)
+        except FloatingPointError:
+            np.seterr(divide="warn", over="warn", under="ignore", invalid="warn")
+            parts = [_prescale(a) for a in operands]
+            return _scale_back(compute(*(a for a, _ in parts)), sum(e for _, e in parts), what)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -399,28 +402,6 @@ def _kron_apply(mats, x) -> np.ndarray:
     return x.reshape(*rest, -1).T
 
 
-@functools.lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Round-robin (Brent-Luk parallel) ordering of the column pairs of an
-    n-column matrix: n-1 rounds, for n rounded up to even, each a set of
-    disjoint pairs (i, j) with i < j, covering every pair once per sweep.
-
-    Column 0 stays in place and the others move one seat per round (the
-    circle method).  For odd n, column n is a phantom whose pairs are dropped.
-    """
-    size = n + n % 2
-    ring = list(range(size))
-    rounds = []
-    for _ in range(size - 1):
-        pairs = [(min(a, b), max(a, b)) for a, b in zip(ring[: size // 2], ring[::-1])]
-        i, j = np.array([p for p in pairs if p[1] < n], dtype=np.intp).reshape(-1, 2).T
-        i.setflags(write=False)
-        j.setflags(write=False)
-        rounds.append((i, j))
-        ring = ring[:1] + ring[-1:] + ring[1:-1]
-    return tuple(rounds)
-
-
 def _off_diagonal(w: np.ndarray) -> float:
     """Largest |w_i^dagger w_j| / (||w_i|| ||w_j||) over pairs of nonzero
     columns: the figure the Jacobi skip test holds to _JACOBI_TOL."""
@@ -434,32 +415,49 @@ def _off_diagonal(w: np.ndarray) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _round_pairs(n: int) -> tuple[np.ndarray, ...]:
-    """The rounds of _round_robin(n) that have a pair, as read-only (p, 2) indices."""
-    return tuple(_frozen(np.stack(r, axis=1)) for r in _round_robin(n) if len(r[0]))
+    """Round-robin (Brent-Luk parallel) ordering of the column pairs of an
+    n-column matrix: n-1 rounds, for n rounded up to even, each a read-only
+    (p, 2) index of disjoint pairs (i, j) with i < j, covering every pair
+    once per sweep.
+
+    Column 0 stays in place and the others move one seat per round (the
+    circle method).  For odd n, column n is a phantom whose pairs are
+    dropped, and a round left with no pair (n = 1 has one) is dropped too.
+    """
+    size = n + n % 2
+    ring = list(range(size))
+    rounds = []
+    for _ in range(size - 1):
+        pairs = [(min(a, b), max(a, b)) for a, b in zip(ring[: size // 2], ring[::-1]) if max(a, b) < n]
+        if pairs:
+            rounds.append(_frozen(np.array(pairs, dtype=np.intp)))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(rounds)
 
 
 def _jacobi_orthogonalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided (Hestenes) Jacobi in round-robin order, until a whole sweep
     finds every pair of columns of `w` orthogonal.  A round gathers its
-    disjoint pairs once, takes their norms and inner products by two vecdot
-    calls, zeroes the columns below _JACOBI_FLOOR if one of them is, and
-    rotates all pairs by one batched 2x2 product, in which a pair already
-    orthogonal gets the exact identity.  Returns the rotated w and the
-    accumulated right factor v, with w_in = w v^dagger."""
+    disjoint pairs (_round_pairs) once, takes their norms and inner products
+    by two vecdot calls, zeroes those of its columns that lie below
+    _JACOBI_FLOOR, and rotates all pairs by one batched 2x2 product, in
+    which a pair already orthogonal gets the exact identity.  Every sweep
+    gathers every column, so a column is zeroed before the next rotation it
+    enters, and the sweep that ends the loop leaves none below the floor.
+    Returns the rotated w and the accumulated right factor v, with
+    w_in = w v^dagger."""
     m, n = w.shape
     # Row k is column k of w followed by column k of v, so one gather and one
-    # scatter per round move both; wf is a real view of the w part.
+    # scatter per round move both.
     x = np.concatenate([w.T, np.eye(n, dtype=np.complex128)], axis=1)
-    wf = x.view(np.float64)[:, : 2 * m]
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for pairs in _round_pairs(n):
             xp = x[pairs]
             d = np.vecdot(xp[:, :, :m], xp[:, :, :m]).real
             if d.min() < _JACOBI_FLOOR:
-                wf[np.einsum("kl,kl->k", wf, wf) < _JACOBI_FLOOR] = 0.0
-                xp = x[pairs]
-                d = np.vecdot(xp[:, :, :m], xp[:, :, :m]).real
+                small = d < _JACOBI_FLOOR
+                x[pairs[small], :m] = xp[small, :m] = d[small] = 0.0
             alpha, beta = d.T
             gamma = np.vecdot(xp[:, 0, :m], xp[:, 1, :m])
             g = np.abs(gamma)

@@ -110,6 +110,17 @@ class TestSchmidt:
         assert np.allclose(got.coefficients, [2**-0.5] * 2, rtol=0, atol=1e-15)
         assert got.rank == 2
 
+    @given(st.integers(1, 16), st.booleans(), st.floats(-300, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_one_sided_split_has_coefficient_exactly_one(self, k, left, exponent, seed):
+        """A state split as 1 x k or k x 1 has the one coefficient 1.0
+        exactly, at any scale: the state is normalized first."""
+        x = random_complex(np.random.default_rng(seed), (k,))
+        got = ent.schmidt(x * 10.0**exponent, *((1, k) if left else (k, 1)))
+        assert got.coefficients.tolist() == [1.0]
+        assert got.rank == 1
+        assert np.allclose(got.reconstruct(), x / np.linalg.norm(x), rtol=0, atol=1e-14)
+
 
 class TestClassifyBipartite:
     def test_bell_state_entangled(self):

@@ -104,6 +104,21 @@ class TestKron:
         assert np.array_equal(got, [0.0, 0.0, 0.5, 1.0])
         assert np.abs(got - [0.0, 5e-324, 0.5, 1.0]).max() <= np.finfo(float).eps
 
+    @pytest.mark.parametrize("flags", [{"under": "raise"}, {"all": "raise"}])
+    def test_redo_ignores_the_callers_flags(self, flags):
+        """The range rule's redo runs under its own flags: under a caller's
+        raise settings both products return the bits they return under the
+        default flags, and the caller's flags hold again afterwards."""
+        calls = [
+            lambda: la.kron([5e-324, 1.0], [0.5, 1.0]),
+            lambda: la.kron_apply([np.diag([1e300, 1.0]), np.diag([1e-300, 1.0])], np.ones(4) * 1e-10),
+        ]
+        want = [call().tobytes() for call in calls]
+        with np.errstate(**flags):
+            before = np.geterr()
+            assert [call().tobytes() for call in calls] == want
+            assert np.geterr() == before
+
 
 class TestKronApply:
     @given(st.data(), st.integers(min_value=1, max_value=4), st.booleans(), st.integers(0, 2))
@@ -354,10 +369,13 @@ class TestSvdProperties:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_round_robin_covers_each_pair_once_per_sweep(self, n):
-        rounds = la._round_robin(n)
+        rounds = la._round_pairs(n)
         assert len(rounds) == n - 1 + n % 2
+        assert la._round_pairs(1) == ()
         seen = []
-        for i, j in rounds:
+        for pairs in rounds:
+            assert not pairs.flags.writeable
+            i, j = pairs.T
             assert len(i) == len(j) == n // 2
             assert np.all(i < j)
             assert len(set(i.tolist() + j.tolist())) == 2 * len(i)

@@ -62,7 +62,7 @@ def test_one_range_rule():
     assert imports == []
 
 
-@pytest.mark.parametrize("script", ["bell_pipeline.py", "cli_transcript.py", "not_variant_census.py"])
+@pytest.mark.parametrize("script", ["bell_pipeline.py", "cli_transcript.py", "not_variant_census.py", "numeric_fingerprint.py"])
 def test_script_runs(script, capsys):
     runpy.run_path(os.path.join(ROOT, "scripts", script), run_name="__main__")
     assert capsys.readouterr().out
