@@ -69,9 +69,9 @@ class ConvergenceError(RuntimeError):
 
     For the Jacobi SVD, `sweeps` is the number of sweeps used and
     `off_diagonal` the largest remaining column cosine
-    |w_i^dagger w_j| / (||w_i|| ||w_j||) of the rotated R^dagger (see svd),
-    which exceeds _JACOBI_TOL: a cap reached with every pair within it is no
-    failure.
+    |w_i^dagger w_j| / (||w_i|| ||w_j||) of the rotated R^dagger v0, the
+    warm-started matrix (see svd), which exceeds _JACOBI_TOL: a cap reached
+    with every pair within it is no failure.
     """
 
     def __init__(self, message: str, sweeps: int | None = None, off_diagonal: float | None = None):
@@ -435,21 +435,21 @@ def _round_pairs(n: int) -> tuple[np.ndarray, ...]:
     return tuple(rounds)
 
 
-def _jacobi_orthogonalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided (Hestenes) Jacobi in round-robin order, until a whole sweep
-    finds every pair of columns of `w` orthogonal.  A round gathers its
-    disjoint pairs (_round_pairs) once, takes their norms and inner products
-    by two vecdot calls, zeroes those of its columns that lie below
-    _JACOBI_FLOOR, and rotates all pairs by one batched 2x2 product, in
-    which a pair already orthogonal gets the exact identity.  Every sweep
-    gathers every column, so a column is zeroed before the next rotation it
-    enters, and the sweep that ends the loop leaves none below the floor.
-    Returns the rotated w and the accumulated right factor v, with
-    w_in = w v^dagger."""
+def _jacobi_orthogonalize(w: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided (Hestenes) Jacobi in round-robin order from w v0, for a
+    unitary v0 (I for the cold start), until a whole sweep finds every pair of
+    columns orthogonal.  A round gathers its disjoint pairs (_round_pairs)
+    once, takes their norms and inner products by two vecdot calls, zeroes
+    those of its columns that lie below _JACOBI_FLOOR, and rotates all pairs
+    by one batched 2x2 product, in which a pair already orthogonal gets the
+    exact identity.  Every sweep gathers every column, so a column is zeroed
+    before the next rotation it enters, and the sweep that ends the loop
+    leaves none below the floor.  Returns the rotated w and the accumulated
+    right factor v, which starts at v0, with w_in = w v^dagger."""
     m, n = w.shape
     # Row k is column k of w followed by column k of v, so one gather and one
     # scatter per round move both.
-    x = np.concatenate([w.T, np.eye(n, dtype=np.complex128)], axis=1)
+    x = np.concatenate([(w @ v0).T, v0.T], axis=1)
     for _ in range(_JACOBI_MAX_SWEEPS):
         rotated = False
         for pairs in _round_pairs(n):
@@ -506,9 +506,13 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and its columns by decreasing norm, which stands in for column pivoting
     (numpy has no pivoted QR) and cuts the sweeps (Drmac and Veselic, 2008).
     The Jacobi sweeps then orthogonalize the columns of the square R^dagger
-    of the reduced QR = Q R: the column norms of the rotated R^dagger are s,
-    its unit columns the right factor and Q times the accumulated rotation
-    the left factor, orthonormal at any rank, each with its sort undone.
+    of the reduced QR = Q R, started from R^dagger v0 with v0 LAPACK's right
+    factor of R^dagger (I if LAPACK fails): one more unitary factor on the
+    right, which keeps the row-wise accuracy of one-sided Jacobi, so LAPACK
+    only picks where the sweeps start and they decide every value.  The
+    column norms of the rotated R^dagger are s, its unit columns the right
+    factor and Q times the accumulated rotation the left factor, orthonormal
+    at any rank, each with its sort undone.
     The right factor's vectors of the zero values are the trailing columns
     of the reduced QR of those of the nonzero values padded with zero
     columns, so that factor is orthonormal at any rank too and the
@@ -523,7 +527,12 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rp = np.argsort(-np.linalg.norm(w, axis=1), kind="stable")
     cp = np.argsort(-np.linalg.norm(w, axis=0), kind="stable")
     q, r = np.linalg.qr(w[rp][:, cp])
-    w, v = _jacobi_orthogonalize(r.conj().T)
+    rh = r.conj().T
+    try:
+        v0 = np.linalg.svd(rh)[2].conj().T
+    except np.linalg.LinAlgError:
+        v0 = np.eye(len(rh), dtype=np.complex128)
+    w, v = _jacobi_orthogonalize(rh, v0)
 
     norms = np.linalg.norm(w, axis=0)
     order = np.argsort(-norms, kind="stable")
