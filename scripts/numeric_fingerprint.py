@@ -7,9 +7,9 @@ classify_state over a seeded corpus of a few hundred inputs and prints one
 sha256 line per routine, taken over the exact bytes of every result (the
 floats of a report or a classification by their repr).  The svd corpus
 holds random, low-rank and row- or column-graded inputs down to 1e-300,
-whose sweeps reach the Jacobi floor, and the three range-end inputs of the
-scale contract.  Two fingerprints differ only on the routines whose output
-changed in some bit:
+whose sweeps reach the Jacobi floor, the three range-end inputs of the
+scale contract and inputs on both sides of LAPACK's 25-column switch.  Two
+fingerprints differ only on the routines whose output changed in some bit:
 
     PYTHONPATH=src python scripts/numeric_fingerprint.py > after.txt
     diff before.txt after.txt
@@ -48,7 +48,11 @@ def random_unitary(rng, n):
 
 def svd_inputs(rng):
     """Random shapes up to 12 x 12, low rank, graded rows or columns down to
-    1e-300, two larger squares and the range ends."""
+    1e-300, two larger inputs, the range ends and four inputs above 25
+    columns, where LAPACK's SVD switches from QR iteration to divide and
+    conquer: 32x32 rank 1, 40x40 rank 3, 64x16 rank 4 and a random 30x30.
+    The last four come from their own stream, so the other corpora stay as
+    they were."""
     out = []
     for _ in range(120):
         out.append(random_complex(rng, rng.integers(1, 13, size=2)))
@@ -67,6 +71,10 @@ def svd_inputs(rng):
         np.array([[1e300, 1], [1e-300, 2]]),
         np.array([[1.7e308, 0], [0, 5e-324]]),
     ]
+    large = np.random.default_rng(SEED + 1)
+    for rows, cols, k in ((32, 32, 1), (40, 40, 3), (64, 16, 4)):
+        out.append(random_complex(large, (rows, k)) @ random_complex(large, (k, cols)))
+    out.append(random_complex(large, (30, 30)))
     return out
 
 

@@ -70,8 +70,9 @@ class ConvergenceError(RuntimeError):
     For the Jacobi SVD, `sweeps` is the number of sweeps used and
     `off_diagonal` the largest remaining column cosine
     |w_i^dagger w_j| / (||w_i|| ||w_j||) of the rotated R^dagger v0, the
-    warm-started matrix (see svd), which exceeds _JACOBI_TOL: a cap reached
-    with every pair within it is no failure.
+    warm-started matrix (see svd), which exceeds _JACOBI_TOL.  It is the
+    figure of the Gram test that ends the sweeps, so a cap reached with
+    every pair within it is no failure.
     """
 
     def __init__(self, message: str, sweeps: int | None = None, off_diagonal: float | None = None):
@@ -437,20 +438,29 @@ def _round_pairs(n: int) -> tuple[np.ndarray, ...]:
 
 def _jacobi_orthogonalize(w: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided (Hestenes) Jacobi in round-robin order from w v0, for a
-    unitary v0 (I for the cold start), until a whole sweep finds every pair of
-    columns orthogonal.  A round gathers its disjoint pairs (_round_pairs)
-    once, takes their norms and inner products by two vecdot calls, zeroes
-    those of its columns that lie below _JACOBI_FLOOR, and rotates all pairs
-    by one batched 2x2 product, in which a pair already orthogonal gets the
-    exact identity.  Every sweep gathers every column, so a column is zeroed
-    before the next rotation it enters, and the sweep that ends the loop
-    leaves none below the floor.  Returns the rotated w and the accumulated
-    right factor v, which starts at v0, with w_in = w v^dagger."""
+    unitary v0 (I for the cold start), until every pair of columns is
+    orthogonal.  Before each sweep one Gram product (_off_diagonal, the
+    figure a ConvergenceError carries) tests every pair against _JACOBI_TOL
+    and ends the loop without sweeping, unless a nonzero column lies below
+    _JACOBI_FLOOR; a sweep that rotates no pair ends it too, should the Gram
+    product and a round's vecdot round apart.  A round gathers its disjoint
+    pairs (_round_pairs) once, takes their norms and inner products by two
+    vecdot calls, zeroes those of its columns that lie below _JACOBI_FLOOR,
+    and rotates all pairs by one batched 2x2 product, in which a pair
+    already orthogonal gets the exact identity.  Every sweep gathers every
+    column, so a column is zeroed before the next rotation it enters, and
+    the loop ends with none below the floor.  Returns the rotated w and the
+    accumulated right factor v, which starts at v0, with w_in = w v^dagger."""
     m, n = w.shape
     # Row k is column k of w followed by column k of v, so one gather and one
     # scatter per round move both.
     x = np.concatenate([(w @ v0).T, v0.T], axis=1)
     for _ in range(_JACOBI_MAX_SWEEPS):
+        # One Gram product settles columns that no pair of a sweep would
+        # rotate, unless a nonzero column below the floor is left to zero.
+        d = np.vecdot(x[:, :m], x[:, :m]).real
+        if not x[d < _JACOBI_FLOOR, :m].any() and _off_diagonal(x[:, :m].T) <= _JACOBI_TOL:
+            break
         rotated = False
         for pairs in _round_pairs(n):
             xp = x[pairs]
@@ -506,13 +516,17 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and its columns by decreasing norm, which stands in for column pivoting
     (numpy has no pivoted QR) and cuts the sweeps (Drmac and Veselic, 2008).
     The Jacobi sweeps then orthogonalize the columns of the square R^dagger
-    of the reduced QR = Q R, started from R^dagger v0 with v0 LAPACK's right
-    factor of R^dagger (I if LAPACK fails): one more unitary factor on the
-    right, which keeps the row-wise accuracy of one-sided Jacobi, so LAPACK
-    only picks where the sweeps start and they decide every value.  The
-    column norms of the rotated R^dagger are s, its unit columns the right
-    factor and Q times the accumulated rotation the left factor, orthonormal
-    at any rank, each with its sort undone.
+    of the reduced QR = Q R, started from R^dagger v0 with v0 LAPACK's left
+    factor of R (I if LAPACK fails): one more unitary factor on the right,
+    which keeps the row-wise accuracy of one-sided Jacobi, so LAPACK only
+    picks where the sweeps start and they decide every value.  Up to 25
+    columns LAPACK takes that factor by QR iteration, accurate relative to
+    each singular value (Demmel and Kahan, 1990), and R^dagger v0 of most
+    inputs, rank-deficient ones too, passes the Gram test before any sweep;
+    square inputs of deficient rank above 25 columns still take 7 to 9
+    sweeps.  The column norms of the rotated R^dagger are s, its unit
+    columns the right factor and Q times the accumulated rotation the left
+    factor, orthonormal at any rank, each with its sort undone.
     The right factor's vectors of the zero values are the trailing columns
     of the reduced QR of those of the nonzero values padded with zero
     columns, so that factor is orthonormal at any rank too and the
@@ -529,7 +543,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(w[rp][:, cp])
     rh = r.conj().T
     try:
-        v0 = np.linalg.svd(rh)[2].conj().T
+        v0 = np.linalg.svd(r)[0]
     except np.linalg.LinAlgError:
         v0 = np.eye(len(rh), dtype=np.complex128)
     w, v = _jacobi_orthogonalize(rh, v0)

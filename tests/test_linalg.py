@@ -199,9 +199,10 @@ SKEWED_R = np.array([[0.5, 0.25], [0.0, 0.25]], dtype=complex)
 def sorted_rank_one(n, seed):
     """An n x n outer product x y^dagger with |x| and |y| in decreasing order
     and its largest part at 0.75, so svd factors this very matrix.  Its n - 1
-    near-null columns of R^dagger v0 hold rounding noise that LAPACK's right
-    factor v0 leaves far from orthogonal relative to their own norms, so the
-    warm-started sweeps still have work to do (8 to 10 sweeps at n = 32)."""
+    near-null columns of R^dagger v0 hold rounding noise that LAPACK's left
+    factor v0 of R leaves far from orthogonal relative to their own norms
+    (divide and conquer, above 25 columns), so the warm-started sweeps still
+    have work to do (7 or 8 sweeps at n = 32)."""
     rng = np.random.default_rng(seed)
     x, y = (z[np.argsort(-np.abs(z))] for z in random_complex(rng, (2, n)))
     a = np.outer(x, y.conj())
@@ -212,13 +213,12 @@ RANK_ONE_32 = sorted_rank_one(32, 0)
 
 
 def cold_svd(a):
-    """svd(a) with the sweeps started from v0 = I in place of LAPACK's right
-    factor of R^dagger: the Jacobi SVD as it ran without the warm start.  The
-    fake LAPACK factor is I.conj().T, so that svd's conj().T of it gives back
-    I itself, C-ordered with positive zeros, which the sweeps start from bit
-    for bit."""
+    """svd(a) with the sweeps started from v0 = I in place of LAPACK's left
+    factor of R: the Jacobi SVD as it ran without the warm start.  The fake
+    LAPACK factor is I itself, C-ordered with positive zeros, which the
+    sweeps start from bit for bit."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "svd", lambda rh: (None, None, np.eye(len(rh), dtype=complex).conj().T))
+        mp.setattr(np.linalg, "svd", lambda r: (np.eye(len(r), dtype=complex), None, None))
         return la.svd(a)
 
 
@@ -293,10 +293,13 @@ class TestSvd:
         assert s == pytest.approx([1.7e308, 1e170], rel=1e-15)
 
     def test_columns_below_the_floor_count_as_zero(self):
-        """A singular value under about 1.5e-147 of the largest entry is 0."""
+        """A singular value under about 1.5e-147 of the largest entry is 0.
+        diag(1, 1e-160) passes the Gram test from the start, but the loop
+        must still sweep once to zero its second column."""
         u, s, v = la.svd(np.diag([1.0, 1e-140, 1e-150]))
         assert s[0] == 1.0 and s[1] == pytest.approx(1e-140, rel=1e-15) and s[2] == 0.0
         assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-15)
+        assert la.svd(np.diag([1.0, 1e-160]))[1].tolist() == [1.0, 0.0]
 
     def test_sweep_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 0)
@@ -413,10 +416,10 @@ class TestSvdProperties:
     @example((2, 9), "deficient", -300, 1)
     @settings(max_examples=150, deadline=None)
     def test_warm_and_cold_starts_agree(self, shape, kind, exponent, seed):
-        """The sweeps decide every singular value; LAPACK's right factor only
+        """The sweeps decide every singular value; LAPACK's left factor only
         picks where they start.  Every singular value of the input agrees
         with the cold start's to 1e-13 relative (the worst of 15,000
-        inputs drawn alike was 4.4e-15): for rank-deficient input the
+        inputs drawn alike was 3.3e-15): for rank-deficient input the
         leading rank values, for graded columns those above 1e-140 of the
         largest.  Within 10^7 of _JACOBI_FLOOR the cold start itself loses
         digits to subnormal inner products (up to 8e-5 against a 400-digit
@@ -440,14 +443,46 @@ class TestSvdProperties:
 
     @pytest.mark.parametrize("shape", [(64, 64), (16, 64), (64, 16), (33, 20), (8, 8)])
     def test_warm_start_settles_random_input_within_three_sweeps(self, monkeypatch, shape):
-        """From LAPACK's right factor, these random inputs take one or two
-        sweeps, counting the last that finds nothing to rotate; from I they
-        take 6 to 9, so the same cap stops the cold start."""
+        """From LAPACK's left factor, these random inputs pass the Gram test
+        before any sweep; from I they take 5 to 8 sweeps, so the same cap
+        stops the cold start."""
         monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 3)
         a = random_complex(np.random.default_rng(sum(shape)), shape)
         assert_valid_svd(a)
         with pytest.raises(la.ConvergenceError):
             cold_svd(a)
+
+    @pytest.mark.parametrize("shape, rank, seed", [((64, 64), 64, 5), ((64, 16), 4, 1), ((16, 16), 3, 0), ((8, 8), 1, 0)])
+    def test_gram_exit_settles_the_warm_start_without_a_sweep(self, monkeypatch, shape, rank, seed):
+        """R^dagger v0 of these inputs, v0 LAPACK's left factor of R, passes
+        the Gram test before any sweep, so a cap of 0 is no failure.  LAPACK's
+        factor settles most such inputs, not all (of seeds 0-39: 15 random
+        64x64, 21 64x16 rank 4, 27 16x16 rank 3, 38 8x8 rank 1); from the
+        right factor of R^dagger these took 2, 8, 7 and 5 sweeps."""
+        monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 0)
+        rng = np.random.default_rng(seed)
+        a = random_complex(rng, shape) if rank == min(shape) else with_spectrum(rng, *shape, rng.uniform(0.1, 1.0, rank))
+        assert_valid_svd(a)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gram_exit_gives_the_bits_of_the_confirming_sweep(self, monkeypatch, seed):
+        """With the Gram exit off (_off_diagonal patched to inf), the sweeps
+        run until one rotates nothing.  Random, rank-deficient and graded
+        inputs on both sides of LAPACK's 25-column switch come out bit for
+        bit as with the exit on.  The Gram product and a round's vecdot can
+        round apart on a pair right at _JACOBI_TOL: 2 of 1,500 seeded inputs
+        of these kinds, up to 48 columns, differed in some bit of a factor,
+        with no singular value above 1e-13 of the largest moved."""
+        rng = np.random.default_rng(seed)
+        inputs = [random_complex(rng, (rows, cols)) for rows, cols in rng.integers(1, 41, size=(4, 2))]
+        for rows, cols in rng.integers(2, 41, size=(4, 2)):
+            inputs.append(with_spectrum(rng, rows, cols, rng.uniform(0.1, 1.0, int(rng.integers(1, min(rows, cols))))))
+        for cols in rng.integers(2, 33, size=2):
+            inputs.append(random_complex(rng, (cols, cols)) * 10.0 ** rng.uniform(-300, 0, cols))
+        want = [la.svd(a) for a in inputs]
+        monkeypatch.setattr(la, "_off_diagonal", lambda w: np.inf)
+        for a, w in zip(inputs, want):
+            assert all(same_bits(g, x) for g, x in zip(la.svd(a), w))
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_round_robin_covers_each_pair_once_per_sweep(self, n):
@@ -475,8 +510,8 @@ class TestSvdProperties:
         with pytest.raises(la.ConvergenceError) as err:
             la.svd(RANK_ONE_32)
         assert err.value.sweeps == 0
-        rh = np.linalg.qr(RANK_ONE_32)[1].conj().T
-        assert err.value.off_diagonal == la._off_diagonal(rh @ np.linalg.svd(rh)[2].conj().T)
+        r = np.linalg.qr(RANK_ONE_32)[1]
+        assert err.value.off_diagonal == la._off_diagonal(r.conj().T @ np.linalg.svd(r)[0])
         assert la._JACOBI_TOL < err.value.off_diagonal <= 1.0
         assert f"{err.value.off_diagonal:.3e}" in str(err.value)
 
@@ -547,7 +582,7 @@ def test_svd_relative_accuracy_on_row_graded_input_in_any_row_order(shape, seed)
 @pytest.mark.parametrize("seed", range(3))
 def test_svd_on_two_sided_graded_input_within_ten_sweeps(monkeypatch, seed):
     """On 32x32 D1 B D2 with both gradings permuted, the sorted QR leaves
-    an R^dagger that 5-6 sweeps orthogonalize, accurate to 1e-11 relative.
+    an R^dagger that 5 sweeps orthogonalize, accurate to 1e-11 relative.
     This needs the column sort before the QR; without it, as without the QR,
     it took 19-24 sweeps."""
     monkeypatch.setattr(la, "_JACOBI_MAX_SWEEPS", 10)
