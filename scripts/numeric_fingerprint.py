@@ -8,8 +8,10 @@ sha256 line per routine, taken over the exact bytes of every result (the
 floats of a report or a classification by their repr).  The svd corpus
 holds random, low-rank and row- or column-graded inputs down to 1e-300,
 whose sweeps reach the Jacobi floor, the three range-end inputs of the
-scale contract and inputs on both sides of LAPACK's 25-column switch.  Two
-fingerprints differ only on the routines whose output changed in some bit:
+scale contract and inputs on both sides of LAPACK's 25-column switch.  The
+sqrt corpus holds gates synthesized under rotated frames, which take the
+frame route as built and the eigen route as copies.  Two fingerprints
+differ only on the routines whose output changed in some bit:
 
     PYTHONPATH=src python scripts/numeric_fingerprint.py > after.txt
     diff before.txt after.txt
@@ -22,6 +24,7 @@ import numpy as np
 from qlift import (
     BUILTIN_ENCODINGS,
     ClassicalFunction,
+    Encoding,
     QuantumState,
     builtin_encoding,
     classify_state,
@@ -91,12 +94,25 @@ def schmidt_inputs(rng):
 
 
 def sqrt_inputs(rng):
-    """Random unitaries, permutations and unitaries with eigenvalue -1."""
+    """Random unitaries, permutations and unitaries with eigenvalue -1, then
+    gates synthesized under rotated frames, each as built and as a copy:
+    random bijections under pauli at n = 1..3 and under d5k2, a random
+    5-dim encoding with a fixed direction, at n = 1..2.  The gates come from
+    their own stream, so the other corpora stay as they were."""
     out = [random_unitary(rng, int(rng.integers(1, 17))) for _ in range(40)]
     out += [np.eye(n)[:, rng.permutation(n)] for n in rng.integers(1, 17, size=20)]
     for n in rng.integers(2, 9, size=10):
         q = random_unitary(rng, n)
         out.append((q * np.where(np.arange(n) % 2, -1.0, 1.0)) @ q.conj().T)
+    gates = np.random.default_rng(SEED + 2)
+    q = random_unitary(gates, 5)
+    rotated = Encoding("d5k2", 5, q[:, 0:2], q[:, 2:4], q[:, 4:])
+    for enc, widths in ((builtin_encoding("pauli"), (1, 2, 3)), (rotated, (1, 2))):
+        for n in widths:
+            words = [format(i, f"0{n}b") for i in range(2**n)]
+            f = ClassicalFunction(n, n, dict(zip(words, gates.permutation(words))))
+            m = quantize_reversible(f, enc).matrix
+            out += [m, m.copy()]
     return out
 
 

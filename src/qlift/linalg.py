@@ -111,10 +111,12 @@ def as_array(a, ndim: int) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a itself when it is read-only and owns its memory, so that no view
-    can write to it and only a holder of a could make it writeable again;
-    otherwise a read-only copy of a."""
-    if a.flags.writeable or not a.flags.owndata:
+    """a itself when it is read-only and either owns its memory, so that no
+    view can write to it and only a holder of a could make it writeable
+    again, or lies over immutable bytes (_framed_permutation), which nothing
+    can make writeable; otherwise a read-only copy of a."""
+    # A view's base is the array over the bytes, whose own base they are.
+    if a.flags.writeable or not (a.flags.owndata or isinstance(getattr(a.base, "base", a.base), bytes)):
         a = a.copy()
         a.setflags(write=False)
     return a
@@ -224,8 +226,9 @@ def _norm(x: np.ndarray) -> float:
 
 def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """||a^dagger a - I||_F for a square matrix, inf beyond the double range;
-    exactly 0.0 for a permutation matrix.  split is a's _lone_entries, for a
-    caller that has them already.
+    exactly 0.0 for a permutation matrix, and the figure recorded with it
+    for the very array _framed_permutation built under frames.  split is
+    a's _lone_entries, for a caller that has them already.
 
     A column is lone when it holds a lone entry a_ij (_lone_entries).  It
     meets no other column in a^dagger a and adds (|a_ij|^2 - 1)^2 to the
@@ -246,6 +249,9 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
     a.  An entry of modulus 2**513 or more, which may itself read inf, puts
     a diagonal entry of a^dagger a - I beyond the double range, so the
     residual is inf and no product is formed."""
+    ref, _, _, recorded = _FRAMED.get(id(a), (None,) * 4)
+    if ref is not None and ref() is a:
+        return recorded
     rows, lone = _lone_entries(a) if split is None else split
     single = abs(a[rows, lone])
     # b holds the cols columns that are not lone: all of a, none of it, or
@@ -322,18 +328,20 @@ def _permutation(m: np.ndarray, split: tuple[np.ndarray, np.ndarray] | None = No
 def _framed_permutation(image: np.ndarray, frames) -> np.ndarray:
     """W P W^dagger, read-only, for P = eye[:, image] (column j goes to row
     image[j]) and frames W's factors and then their conjugates; P for no
-    frames.  A product under frames is recorded for principal_unitary_sqrt:
-    _FRAMED maps its id to (a weak reference to it, frames, image), and the
-    reference's callback drops the entry with the product."""
+    frames.  A product under frames lies over immutable bytes, so that no
+    view of it can be made writeable, and is recorded: _FRAMED maps its id
+    to (a weak reference to it, frames, image, its _unitarity_residual), and
+    the reference's callback drops the entry with the product."""
     dim = len(image)
     out = np.zeros((dim, dim), dtype=np.complex128)
     out[image, np.arange(dim)] = 1.0
     if frames:
-        # One contraction of the row-major flattened P, written back into
-        # P, so that the product owns its memory and is handed over uncopied.
-        out[...] = _kron_apply(frames, out.reshape(-1)).reshape(dim, dim)
+        # One contraction of the row-major flattened P, then one copy of
+        # the product into bytes, which no numpy call can write.
+        out = _kron_apply(frames, out.reshape(-1))
+        out = np.frombuffer(out.tobytes(), np.complex128).reshape(dim, dim)
         key = id(out)
-        _FRAMED[key] = (weakref.ref(out, lambda _: _FRAMED.pop(key, None)), frames, image)
+        _FRAMED[key] = (weakref.ref(out, lambda _: _FRAMED.pop(key, None)), frames, image, _unitarity_residual(out))
     out.setflags(write=False)
     return out
 
@@ -634,10 +642,10 @@ def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
     about delta for an input off unitary by delta <= tol.  A permutation
     matrix (_permutation) takes its root cycle by cycle, with no
     eigensolver.  So does a gate that synthesis built under a rotated frame
-    W, W P W^dagger, as W sqrt(P) W^dagger: that very array only, after the
-    unitarity check and once a rebuild from synthesis's record equals it
-    bit for bit.  Raises ValueError, with the residual, if the input is not
-    unitary to within `tol`, or for a NaN or negative tol.
+    W, W P W^dagger, as W sqrt(P) W^dagger: that very array only, whose
+    immutable bytes prove its bits (_framed_permutation), after the
+    unitarity check.  Raises ValueError, with the residual, if the input is
+    not unitary to within `tol`, or for a NaN or negative tol.
     """
     _check_tol(tol)
     a = _square(u, "principal_unitary_sqrt")
@@ -648,8 +656,8 @@ def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
         return _permutation_sqrt(p)
     _unitary(a, tol, "principal_unitary_sqrt requires a unitary matrix", split)
     # The root, a primary matrix function, commutes with similarity by W.
-    ref, frames, image = _FRAMED.get(id(a), (None, (), None))
-    if ref is not None and ref() is a and np.array_equal(_framed_permutation(image, frames), a):
+    ref, frames, image, _ = _FRAMED.get(id(a), (None,) * 4)
+    if ref is not None and ref() is a:
         return _kron_apply(frames, _permutation_sqrt(image).reshape(-1)).reshape(a.shape)
     # The eigenphases up to sign are the arccosines of the Hermitian part's
     # eigenvalues.  Rotate u by e^{-i alpha} so that -1 sits mid-way along

@@ -216,8 +216,8 @@ def controlled(u) -> np.ndarray:
 def sqrt_gate(g: SynthesizedGate) -> np.ndarray:
     """Principal square root of a synthesized gate's matrix.  A matrix that
     synthesis built takes no eigensolver (principal_unitary_sqrt): cycle by
-    cycle under a permutation frame, and as W sqrt(P) W^dagger, verified bit
-    for bit, under a rotated frame W.  Any other matrix takes the eigen route."""
+    cycle under a permutation frame, and as W sqrt(P) W^dagger, from its
+    record, under a rotated frame W.  Any other matrix takes the eigen route."""
     return principal_unitary_sqrt(g.matrix)
 
 

@@ -1,10 +1,13 @@
 """The root of a gate synthesized under a rotated frame, W P W^dagger, taken
-as W sqrt(P) W^dagger.  principal_unitary_sqrt takes that route only for the
-very array synthesis built, and only when a rebuild from synthesis's record
-matches it bit for bit; a copy takes the eigen route, which these tests use
-as the reference."""
+as W sqrt(P) W^dagger.  Synthesis builds that array over immutable bytes,
+which nothing can make writeable, and records its unitarity residual with
+it.  principal_unitary_sqrt takes the frame route only for that very array;
+a copy takes the eigen route, which these tests use as the reference.  The
+residual, report, unitarity test and root errors read the same on the gate
+as on a copy, from one Gram product per gate."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +87,63 @@ def test_named_sqrt_not_under_pauli(monkeypatch):
     _assert_matches_eigen_route(w, sy.named_gate("NOT", PAULI))
 
 
+def _outcome(call):
+    """call(), or the text of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("quantize, enc, f", _gates())
+def test_gate_reads_as_its_copy(quantize, enc, f):
+    """The recorded residual is the copy's, bit for bit, so the report, the
+    unitarity test and the root's errors, at tol = 0 too, are the copy's."""
+    gate = quantize(f, enc)
+    u, copy = gate.matrix, gate.matrix.copy()
+    r = la._unitarity_residual(u)
+    assert r > 0.0 and r == la._unitarity_residual(copy)
+    for tol in (0.0, np.nextafter(r, 0.0), r, 1e-9):
+        assert sy.quantization_report(u, f, enc, tol) == sy.quantization_report(copy, f, enc, tol)
+        assert la.is_unitary(u, tol) == la.is_unitary(copy, tol) == (r <= tol)
+    for tol in (0.0, np.nextafter(r, 0.0)):
+        error = _outcome(lambda: la.principal_unitary_sqrt(u, tol))
+        assert error.startswith("principal_unitary_sqrt requires a unitary matrix (residual")
+        assert error == _outcome(lambda: la.principal_unitary_sqrt(copy, tol))
+
+
+@pytest.mark.parametrize("quantize, enc, f", _gates())
+def test_one_gram_product_per_gate(quantize, enc, f, monkeypatch):
+    """Synthesis, the report, is_unitary and the root on the gate form as
+    many Gram strips (two Frobenius norms each) as one residual of a copy."""
+    strips = []
+    frobenius = la._frobenius
+    monkeypatch.setattr(la, "_frobenius", lambda x: strips.append(x) or frobenius(x))
+    gate = quantize(f, enc)
+    sy.quantization_report(gate.matrix, f, enc, 1e-9)
+    assert la.is_unitary(gate.matrix, 1e-9)
+    la.principal_unitary_sqrt(gate.matrix)
+    pipeline = len(strips)
+    strips.clear()
+    la._unitarity_residual(gate.matrix.copy())
+    assert pipeline == len(strips) > 0
+
+
+def test_synthesis_peaks_at_three_matrices():
+    """Synthesizing a pauli n=4 gate (256 x 256, 1 MiB) holds P and two
+    partial products of the contraction; the copy into immutable bytes is
+    made after P is dropped, so it adds no matrix to the peak."""
+    f = sy.ClassicalFunction._from_image(4, 4, np.random.default_rng(4).permutation(16))
+    sy.quantize_reversible(f, PAULI)
+    tracemalloc.start()
+    try:
+        gate = sy.quantize_reversible(f, PAULI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * gate.matrix.nbytes
+
+
 def _pauli_gate(n=3, seed=5):
     f = sy.ClassicalFunction(n, n, random_bijection_table(np.random.default_rng(seed), n))
     return sy.quantize_reversible(f, PAULI)
@@ -92,8 +152,10 @@ def _pauli_gate(n=3, seed=5):
 class TestSoundness:
     def test_changed_array_takes_the_eigen_route(self, monkeypatch):
         gate = _pauli_gate()
-        u = gate.matrix
-        u.setflags(write=True)
+        for m in (gate.matrix, gate.matrix[:, :], gate.matrix.T):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                m.setflags(write=True)
+        u = gate.matrix.copy()
         u[3, 5] += 1e-12
         assert np.array_equal(la.principal_unitary_sqrt(u), la.principal_unitary_sqrt(u.copy()))
         with monkeypatch.context() as patch:

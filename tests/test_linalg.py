@@ -1218,6 +1218,31 @@ class TestAsArray:
             la.as_array(m[:, :, None], 3)
 
 
+class TestFrozen:
+    def test_keeps_arrays_over_immutable_bytes_uncopied(self):
+        """No numpy call can make an array over bytes, or a view of one,
+        writeable again, so its identity proves its bits."""
+        flat = np.frombuffer(np.arange(4, dtype=np.complex128).tobytes(), np.complex128)
+        for a in (flat, flat.reshape(2, 2), flat.reshape(2, 2).T, flat[::2]):
+            assert la._frozen(a) is a
+
+    def test_copies_what_could_be_written(self):
+        """A writeable array, a read-only view of one and a read-only array
+        over a bytearray are copied, and the copy is read-only."""
+        owned = np.arange(4, dtype=np.complex128).reshape(2, 2)
+        view = owned.view()
+        view.setflags(write=False)
+        over_bytearray = np.frombuffer(bytearray(owned.tobytes()), np.complex128)
+        over_bytearray.setflags(write=False)
+        for a in (owned, view, over_bytearray):
+            got = la._frozen(a)
+            assert got is not a and not got.flags.writeable and np.array_equal(got, a)
+            assert got.flags.owndata
+        read_only = owned.copy()
+        read_only.setflags(write=False)
+        assert la._frozen(read_only) is read_only
+
+
 def reference_lone_entries(a):
     """The lone-entry rule as first written: int64 counts of the nonzero
     mask, multiplied."""

@@ -119,12 +119,19 @@ class TestQuantizeReversible:
         assert str(err.value).endswith(f"shape {shape} is not square")
 
     def test_gate_holds_synthesis_matrix_and_copies_a_callers(self):
-        """Synthesis hands its read-only matrix over uncopied; a caller's
-        writeable array, a view of one or a read-only view of one is copied,
-        so writing to it afterwards leaves the gate unchanged."""
+        """Synthesis hands its read-only matrix over uncopied: under a
+        permutation frame one that owns its memory, under a rotated frame
+        one that cannot be made writeable.  A caller's writeable array, a
+        view of one or a read-only view of one is copied, so writing to it
+        afterwards leaves the gate unchanged."""
         for enc in (QUBIT, en.builtin_encoding("pauli")):
             built = sy.quantize_reversible(NEGATION, enc).matrix
-            assert built.flags.owndata and not built.flags.writeable
+            assert not built.flags.writeable
+            if enc is QUBIT:
+                assert built.flags.owndata
+            else:
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    built.setflags(write=True)
             assert sy.SynthesizedGate(built, enc, NEGATION).matrix is built
 
         def read_only_view(a):
