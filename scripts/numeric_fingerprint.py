@@ -10,7 +10,11 @@ holds random, low-rank and row- or column-graded inputs down to 1e-300,
 whose sweeps reach the Jacobi floor, the three range-end inputs of the
 scale contract and inputs on both sides of LAPACK's 25-column switch.  The
 sqrt corpus holds gates synthesized under rotated frames, which take the
-frame route as built and the eigen route as copies.  Two fingerprints
+frame route as built and the eigen route as copies.  The checks corpus
+runs the root, is_unitary and quantization_report on inputs that the
+square-matrix check must reject or split: NaN, Inf, non-square, empty and
+wrongly ranked input, Fortran-ordered and strided layouts, permutations and
+near-permutations, digesting each value or error text.  Two fingerprints
 differ only on the routines whose output changed in some bit:
 
     PYTHONPATH=src python scripts/numeric_fingerprint.py > after.txt
@@ -29,6 +33,7 @@ from qlift import (
     builtin_encoding,
     classify_state,
     encode_bits,
+    is_unitary,
     principal_unitary_sqrt,
     quantization_report,
     quantize_irreversible,
@@ -150,6 +155,66 @@ def state_inputs(rng):
     return out
 
 
+def check_inputs():
+    """(matrix, f, encoding): permutations of dimension 4 to 64 and
+    synthesized permutation-frame gates, each also Fortran-ordered and as a
+    reversed view; near-permutations (an entry 1 + 2**-52, a column scaled
+    by 1 - 1e-10, a 1e-12 perturbation, a zeroed entry); random unitaries;
+    NaN or Inf in either part, in square and non-square input; finite
+    non-square, empty and wrongly ranked input.  f and the encoding match
+    the dimension where one exists, so the report runs in full.  They come
+    from their own stream, so the other corpora stay as they were."""
+    rng = np.random.default_rng(SEED + 3)
+    qubit, ququart = builtin_encoding("qubit"), builtin_encoding("ququart")
+    out = []
+
+    def add(m, n):
+        words = [format(i, f"0{n}b") for i in range(2**n)]
+        out.append((m, ClassicalFunction(n, n, dict(zip(words, rng.permutation(words)))), qubit))
+
+    for n in (2, 3, 4, 6):
+        p = np.eye(2**n)[:, rng.permutation(2**n)]
+        one = np.argmax(p[:, 0])  # the row of column 0's one entry
+        near = [p.copy() for _ in range(4)]
+        near[0][one, 0] = 1.0 + 2.0**-52
+        near[1][:, 0] *= 1.0 - 1e-10
+        near[2] = p + 1e-12 * random_complex(rng, p.shape)
+        near[3][one, 0] = 0.0
+        for m in [p, np.asfortranarray(p), p[::-1, ::-1], 1j * p, *near, random_unitary(rng, 2**n)]:
+            add(m, n)
+    for enc, n in ((qubit, 2), (ququart, 1), (ququart, 2)):
+        words = [format(i, f"0{n}b") for i in range(2**n)]
+        f = ClassicalFunction(n, n, dict(zip(words, rng.permutation(words))))
+        g = quantize_reversible(f, enc).matrix
+        out += [(g, f, enc), (np.asfortranarray(g), f, enc), (g.T[::-1], f, enc)]
+    for bad in (np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)):
+        for shape in ((4, 4), (3, 5), (70, 3)):
+            m = random_complex(rng, shape)
+            m[tuple(rng.integers(0, shape))] = bad
+            add(m, 2)
+            add(np.asfortranarray(m), 2)
+    for m in (np.eye(2, 3), random_complex(rng, (4, 8)), np.zeros((0, 0)), np.zeros((0, 4)), np.ones(4), np.ones((2, 2, 2))):
+        add(m, 2)
+    return out
+
+
+def outcome(run):
+    """run()'s results, or the text of the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return [f"ValueError: {exc}"]
+
+
+def check_parts(x):
+    m, f, enc = x
+    return [
+        *outcome(lambda: [principal_unitary_sqrt(m)]),
+        *outcome(lambda: [is_unitary(m, 1e-9)]),
+        *outcome(lambda: [quantization_report(m, f, enc, 1e-9)]),
+    ]
+
+
 def digest(parts) -> str:
     h = hashlib.sha256()
     for part in parts:
@@ -170,6 +235,7 @@ def main():
         "principal_unitary_sqrt": (sqrt_inputs(rng), lambda u: [principal_unitary_sqrt(u)]),
         "quantization_report": (report_inputs(rng), lambda x: [quantization_report(*x)]),
         "classify_state": (state_inputs(rng), lambda x: [classify_state(*x)]),
+        "checks": (check_inputs(), check_parts),
     }
     for name, (inputs, run) in corpora.items():
         print(f"{name} {len(inputs)} {digest(part for x in inputs for part in run(x))}")

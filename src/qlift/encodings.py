@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _check_tol, _count, _frozen, _kron_apply, _norm, _permutation, _unit, _unitary
+from .linalg import _check_tol, _count, _frozen, _kron_apply, _norm, _permutation, _square, _unit, _unitary
 from .linalg import as_array, kron
 
 __all__ = [
@@ -113,8 +113,8 @@ class Encoding:
             raise ValueError(
                 f"subspace dimensions {k}+{k}+{len(cols_fixed)} do not add up to the ambient dimension {d}"
             )
-        frame = np.column_stack(cols0 + cols1 + cols_fixed)
-        _unitary(frame, _ORTHO_TOL, "encoding basis vectors are not orthonormal")
+        frame, split = _square(np.column_stack(cols0 + cols1 + cols_fixed), "encoding frame")
+        _unitary(frame, split, _ORTHO_TOL, "encoding basis vectors are not orthonormal")
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "basis0", frame[:, :k])

@@ -411,7 +411,8 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
         try:
             matrix = gates.get(gate_tok)
             if matrix is None:
-                matrix, checked = _check_step(_resolve_gate(gate_tok, enc, base_dir), targets, enc.ambient_dim, width)
+                matrix = _resolve_gate(gate_tok, enc, base_dir)
+                matrix, _, checked = _check_step(matrix, targets, enc.ambient_dim, width)
                 matrix.setflags(write=False)
                 gates[gate_tok] = matrix
             else:

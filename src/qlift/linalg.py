@@ -129,18 +129,24 @@ def _check_tol(tol):
     return tol
 
 
-def _square(u, what: str) -> np.ndarray:
-    """The one square-matrix rule: as_array(u, 2), or ValueError naming
-    `what` and the shape for a matrix that is not square."""
-    a = as_array(u, 2)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what}: shape {a.shape} is not square")
-    return a
+def _square(u, what: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The one square-matrix rule: (as_array(u, 2), its _lone_entries) in one
+    pass, or as_array's ValueError, then one naming `what` and the shape if
+    not square; the array _framed_permutation built has its split recorded."""
+    a = np.asarray(u, dtype=np.complex128)
+    ref, _, _, split, _ = _FRAMED.get(id(a), (None,) * 5)
+    if ref is None or ref() is not a:
+        if a.ndim != 2 or a.size == 0:
+            as_array(u, 2)  # raises its rank or empty error
+        split = _lone_entries(a)
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"{what}: shape {a.shape} is not square")
+    return a, split
 
 
-def _unitary(a: np.ndarray, tol: float, what: str, split: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+def _unitary(a: np.ndarray, split: tuple[np.ndarray, np.ndarray], tol: float, what: str) -> float:
     """The one gate rule: the unitarity residual of the square matrix a
-    (_unitarity_residual, with a's split if given), or ValueError naming
+    with its _square split (_unitarity_residual), or ValueError naming
     `what`, the residual and tol when it is not within tol."""
     r = _unitarity_residual(a, split)
     if not r <= tol:
@@ -226,9 +232,9 @@ def _norm(x: np.ndarray) -> float:
 
 def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """||a^dagger a - I||_F for a square matrix, inf beyond the double range;
-    exactly 0.0 for a permutation matrix, and the figure recorded with it
-    for the very array _framed_permutation built under frames.  split is
-    a's _lone_entries, for a caller that has them already.
+    the figure recorded for the very array _framed_permutation built under
+    frames, and for a permutation matrix (_permutation) its exact 0.0 at
+    the cost of one gather.  split is a's _square split, or _square's here.
 
     A column is lone when it holds a lone entry a_ij (_lone_entries).  It
     meets no other column in a^dagger a and adds (|a_ij|^2 - 1)^2 to the
@@ -249,10 +255,13 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
     a.  An entry of modulus 2**513 or more, which may itself read inf, puts
     a diagonal entry of a^dagger a - I beyond the double range, so the
     residual is inf and no product is formed."""
-    ref, _, _, recorded = _FRAMED.get(id(a), (None,) * 4)
+    ref, _, _, _, recorded = _FRAMED.get(id(a), (None,) * 5)
     if ref is not None and ref() is a:
         return recorded
-    rows, lone = _lone_entries(a) if split is None else split
+    a, split = _square(a, "unitarity residual") if split is None else (a, split)
+    if _permutation(a, split) is not None:
+        return 0.0
+    rows, lone = split
     single = abs(a[rows, lone])
     # b holds the cols columns that are not lone: all of a, none of it, or
     # a copy of the rest.
@@ -293,12 +302,19 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
 
 
 def _lone_entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the lone entries of a matrix, in row order: nonzero
-    entries alone in both their row and their column.  The nonzero mask is
-    a cast to bool, the same mask as a != 0.  Its row and column counts are
-    summed over its uint8 view in the narrowest unsigned type that holds the
-    larger dimension, so no count wraps."""
-    nz = a.astype(bool)
+    """(rows, cols) of the lone entries of a nonempty complex128 matrix, in
+    row order: nonzero entries alone in both their row and their column.
+    One pass over row strips of 2**15 entries checks each for NaN and Inf
+    and, while it is in cache, writes its part of the mask a != 0 (an
+    entry's two part flags read as one uint16), whose row and column counts
+    sum its uint8 view in the narrowest type that holds max(shape)."""
+    nz = np.empty(a.shape, dtype=bool)
+    h = max(1, 2**15 // a.shape[1])
+    for i in range(0, len(a), h):
+        f = np.ascontiguousarray(a[i : i + h]).view(np.float64)
+        if not np.isfinite(f).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        np.not_equal((f != 0.0).view(np.uint16), 0, out=nz[i : i + h])
     # col[i] is row i's first nonzero column, lone when alone in both.
     col = nz.argmax(1)
     ones = nz.view(np.uint8)
@@ -317,8 +333,8 @@ def _permutation(m: np.ndarray, split: tuple[np.ndarray, np.ndarray] | None = No
     """The one-line map p of a permutation matrix, m = eye(n)[:, p] (column
     j goes to row p[j]), or None unless the square matrix m is exactly one:
     a lone entry (_lone_entries) in every row, each exactly 1.  split is m's
-    _lone_entries, for a caller that has them already."""
-    rows, cols = _lone_entries(m) if split is None else split
+    _square split; a bare matrix is split by _square here."""
+    rows, cols = _square(m, "permutation")[1] if split is None else split
     if len(rows) != len(m) or not (m[rows, cols] == 1).all():
         return None
     # Row i's one 1 sits in column cols[i], so p inverts cols.
@@ -330,8 +346,8 @@ def _framed_permutation(image: np.ndarray, frames) -> np.ndarray:
     image[j]) and frames W's factors and then their conjugates; P for no
     frames.  A product under frames lies over immutable bytes, so that no
     view of it can be made writeable, and is recorded: _FRAMED maps its id
-    to (a weak reference to it, frames, image, its _unitarity_residual), and
-    the reference's callback drops the entry with the product."""
+    to (a weak reference to it, frames, image, its _square split and
+    _unitarity_residual); the reference's callback drops it with the product."""
     dim = len(image)
     out = np.zeros((dim, dim), dtype=np.complex128)
     out[image, np.arange(dim)] = 1.0
@@ -340,8 +356,9 @@ def _framed_permutation(image: np.ndarray, frames) -> np.ndarray:
         # the product into bytes, which no numpy call can write.
         out = _kron_apply(frames, out.reshape(-1))
         out = np.frombuffer(out.tobytes(), np.complex128).reshape(dim, dim)
-        key = id(out)
-        _FRAMED[key] = (weakref.ref(out, lambda _: _FRAMED.pop(key, None)), frames, image, _unitarity_residual(out))
+        key, split = id(out), _square(out, "framed permutation")[1]
+        ref = weakref.ref(out, lambda _: _FRAMED.pop(key, None))
+        _FRAMED[key] = (ref, frames, image, split, _unitarity_residual(out, split))
     out.setflags(write=False)
     return out
 
@@ -605,8 +622,8 @@ def _cycle_root_column(length: int) -> np.ndarray:
 
 def _permutation_sqrt(p: np.ndarray) -> np.ndarray:
     """Principal square root of the permutation matrix eye(n)[:, p], cycle
-    by cycle (_cycle_root_column): the blocks of all cycles of one length,
-    fixed points included, are scattered in one fancy-index assignment."""
+    by cycle (_cycle_root_column): the circulant block of all cycles of one
+    length, fixed points included, is one strided view scattered at once."""
     n = len(p)
     # Pointer jumping: after round t, low[j] is the least element among the
     # first 2**(t+1) of j's orbit, and jumps[t] is p applied 2**t times.
@@ -626,9 +643,10 @@ def _permutation_sqrt(p: np.ndarray) -> np.ndarray:
                 break
             orbit = np.hstack([orbit, jump[orbit]])
         orbit = orbit[:, :length]
-        r = _cycle_root_column(length)
-        offsets = np.arange(length)
-        out[orbit[:, :, None], orbit[:, None, :]] = r[(offsets[:, None] - offsets) % length]
+        # Entry (a, b) of the block, r[(a - b) % length], read from r twice over.
+        r = np.concatenate([_cycle_root_column(length)] * 2)
+        block = np.ndarray((length, length), r.dtype, r, length * r.itemsize, (r.itemsize, -r.itemsize))
+        out[orbit[:, :, None], orbit[:, None, :]] = block
     return out
 
 
@@ -648,15 +666,13 @@ def principal_unitary_sqrt(u, tol: float = _GATE_TOL) -> np.ndarray:
     not unitary to within `tol`, or for a NaN or negative tol.
     """
     _check_tol(tol)
-    a = _square(u, "principal_unitary_sqrt")
-    # One lone-entry split serves the permutation test and the residual.
-    split = _lone_entries(a)
+    a, split = _square(u, "principal_unitary_sqrt")
     p = _permutation(a, split)
     if p is not None:
         return _permutation_sqrt(p)
-    _unitary(a, tol, "principal_unitary_sqrt requires a unitary matrix", split)
+    _unitary(a, split, tol, "principal_unitary_sqrt requires a unitary matrix")
     # The root, a primary matrix function, commutes with similarity by W.
-    ref, frames, image, _ = _FRAMED.get(id(a), (None,) * 4)
+    ref, frames, image, _, _ = _FRAMED.get(id(a), (None,) * 5)
     if ref is not None and ref() is a:
         return _kron_apply(frames, _permutation_sqrt(image).reshape(-1)).reshape(a.shape)
     # The eigenphases up to sign are the arccosines of the Hermitian part's
@@ -763,4 +779,4 @@ def is_unitary(m, tol: float) -> bool:
     formed only among columns that are not lone (_unitarity_residual).
     Raises ValueError for non-square input and for a NaN or negative tol."""
     _check_tol(tol)
-    return bool(_unitarity_residual(_square(m, "is_unitary")) <= tol)
+    return bool(_unitarity_residual(*_square(m, "is_unitary")) <= tol)

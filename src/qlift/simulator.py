@@ -58,11 +58,11 @@ class CircuitStep:
         return hash((gate, self.targets, self.phi))
 
 
-def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple, tuple[int, ...]]:
     """The step rule: a d^k x d^k matrix acts on k distinct integer targets in
-    range(width).  Returns (complex matrix, int targets) or raises ValueError."""
-    gm = _square(gate, "gate matrix")
-    return gm, _check_targets(len(gm), targets, d, width)
+    range(width).  Returns (matrix, its _square split, targets) or raises."""
+    gm, split = _square(gate, "gate matrix")
+    return gm, split, _check_targets(len(gm), targets, d, width)
 
 
 def _check_targets(dim: int, targets, d: int, width: int) -> tuple[int, ...]:
@@ -120,8 +120,8 @@ class Circuit:
             if key not in seen:
                 gate = step.gate if named else _frozen(np.asarray(step.gate, dtype=np.complex128))
                 gm = named_gate(gate, self.encoding, step.phi) if named else gate
-                gm, _ = _check_step(tensor_to_matrix(gm) if np.ndim(gm) == 3 else gm, step.targets, d, self.width)
-                _unitary(gm, _GATE_TOL, f"step {index}: gate matrix is not unitary")
+                gm, split, _ = _check_step(tensor_to_matrix(gm) if gm.ndim == 3 else gm, step.targets, d, self.width)
+                _unitary(gm, split, _GATE_TOL, f"step {index}: gate matrix is not unitary")
                 seen[key] = gate, _frozen(gm)
             gate, gm = seen[key]
             targets = _check_targets(len(gm), step.targets, d, self.width)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import Encoding, _bit_strings, _check_bits, _is_bits, _layout
-from .linalg import _GATE_TOL, _check_tol, _count, _framed_permutation, _frozen, _kron_apply, _ldexp, _lone_entries
+from .linalg import _GATE_TOL, _check_tol, _count, _framed_permutation, _frozen, _kron_apply, _ldexp
 from .linalg import _prescale, _square, _unitarity_residual, _unitary, as_array, principal_unitary_sqrt
 
 __all__ = [
@@ -159,9 +159,9 @@ class SynthesizedGate:
     source: ClassicalFunction
 
     def __post_init__(self):
-        m = _frozen(_square(self.matrix, "synthesized gate is not unitary"))
-        object.__setattr__(self, "matrix", m)
-        _unitary(m, _GATE_TOL, "synthesized gate is not unitary")
+        m, split = _square(self.matrix, "synthesized gate is not unitary")
+        object.__setattr__(self, "matrix", _frozen(m))
+        _unitary(self.matrix, split, _GATE_TOL, "synthesized gate is not unitary")
 
 
 def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:
@@ -209,7 +209,7 @@ def _controlled_block(u) -> np.ndarray:
 def controlled(u) -> np.ndarray:
     """Block matrix diag(I2, u) for a 2x2 unitary u."""
     out = _controlled_block(u)
-    _unitary(out[2:, 2:], _GATE_TOL, "controlled() expects a unitary matrix")
+    _unitary(*_square(out[2:, 2:], "controlled()"), _GATE_TOL, "controlled() expects a unitary matrix")
     return out
 
 
@@ -282,7 +282,7 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     NaN or negative tol.
     """
     _check_tol(tol)
-    um = _square(u, "quantization_report")
+    um, split = _square(u, "quantization_report")
     d = enc.ambient_dim
     g = f if f.is_reversible and len(um) == d**f.arity_in else reversible_closure(f)
     n = g.arity_in
@@ -293,9 +293,8 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
             m = f.arity_in
             expected = f"d^n = {d}^{m} = {d**m}, nor the reversible closure's {d}^{n} = {dim}"
         raise ValueError(f"matrix dimension {len(um)} does not match {expected}")
-    # Under a permutation frame one split of u serves the residual and the leaks.
+    # Under a permutation frame u's one split serves the residual and the leaks.
     _, aligned, group = _layout(enc, n)
-    split = _lone_entries(um) if aligned else None
     unit_res = _unitarity_residual(um, split)
     # A u with entries far from unit scale has a unitarity residual above 1.
     # Only such a u pays for the search of its largest entry, and only an

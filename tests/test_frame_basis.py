@@ -307,12 +307,29 @@ def test_ququart_n5_holds_about_one_matrix_per_step():
     assert max(report_peaks) <= 1.25 * nbytes
 
 
+def test_ququart_n5_strip_pass_adds_a_tenth_of_a_matrix():
+    """The one strip pass of _square over a ququart n=5 gate (1024 x 1024,
+    16 MiB) holds its bool mask, 1/16 of the matrix, and one strip's
+    temporaries: at most 0.1 of a matrix."""
+    f = sy.ClassicalFunction(5, 5, random_bijection_table(np.random.default_rng(9), 5))
+    u = sy.quantize_reversible(f, en.builtin_encoding("ququart")).matrix
+    tracemalloc.start()
+    try:
+        _, (rows, _) = la._square(u, "m")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(u)
+    assert peak <= 0.1 * u.nbytes
+
+
 LONE_ROUTE = [en.builtin_encoding(name) for name in ("qubit", "qutrit", "ququart", "matrix2")] + [QUTRIT_LIKE]
 
 
 def _split_counter(monkeypatch):
-    """Wrap _lone_entries where synthesis and linalg look it up; the list
-    returned collects the matrix of every call."""
+    """Wrap _lone_entries, the strip pass that _square makes over a matrix
+    it has no recorded split for; the list returned collects the matrix of
+    every pass."""
     calls = []
 
     def counted(a):
@@ -321,14 +338,14 @@ def _split_counter(monkeypatch):
 
     lone_entries = la._lone_entries
     monkeypatch.setattr(la, "_lone_entries", counted)
-    monkeypatch.setattr(sy, "_lone_entries", counted)
     return calls
 
 
 @pytest.mark.parametrize("enc", LONE_ROUTE + [SHIFTED], ids=lambda enc: enc.name)
 def test_report_splits_once_under_a_permutation_frame(enc, monkeypatch):
-    """The unitarity residual and the leak pass share one lone-entry split
-    of u, whether u is the gate, a Givens-corrupted copy or dense."""
+    """The unitarity residual and the leak pass share the split of one
+    strip pass over u, whether u is the gate, a Givens-corrupted copy or
+    dense."""
     rng = np.random.default_rng(17)
     f = sy.ClassicalFunction(3, 3, random_bijection_table(rng, 3))
     gate = sy.quantize_reversible(f, enc).matrix
@@ -342,10 +359,10 @@ def test_report_splits_once_under_a_permutation_frame(enc, monkeypatch):
 
 
 def test_pauli_report_takes_the_strip_pass_over_the_rotated_matrix(monkeypatch):
-    """Under a rotated frame only the unitarity residual splits u, and not
-    even that for the synthesized gate, whose residual was recorded when it
-    was built; the leak pass reads W^dagger u W whole, row strip by row
-    strip."""
+    """Under a rotated frame only the unitarity residual needs u's split,
+    and the synthesized gate takes no strip pass at all, as its split and
+    residual were recorded when it was built; a copy takes one.  The leak
+    pass reads W^dagger u W whole, row strip by row strip."""
     enc = en.builtin_encoding("pauli")
     rng = np.random.default_rng(18)
     f = sy.ClassicalFunction(2, 2, random_bijection_table(rng, 2))

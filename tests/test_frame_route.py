@@ -129,6 +129,29 @@ def test_one_gram_product_per_gate(quantize, enc, f, monkeypatch):
     assert pipeline == len(strips) > 0
 
 
+@pytest.mark.parametrize("quantize, enc, f", _gates())
+def test_one_strip_pass_per_gate(quantize, enc, f, monkeypatch):
+    """The build's one strip pass (_lone_entries) over the product splits
+    the gate for good: synthesis, the report, is_unitary and the root, by
+    sqrt_gate too, take no other, where a copy takes one a call."""
+    quantize(f, enc)  # fills the layout cache, whose frame check splits the frame
+    passes = []
+    lone_entries = la._lone_entries
+    monkeypatch.setattr(la, "_lone_entries", lambda a: passes.append(a) or lone_entries(a))
+    gate = quantize(f, enc)
+    assert len(passes) == 1 and passes[0] is gate.matrix
+    passes.clear()
+    sy.quantization_report(gate.matrix, f, enc, 1e-9)
+    assert la.is_unitary(gate.matrix, 1e-9)
+    la.principal_unitary_sqrt(gate.matrix)
+    sy.sqrt_gate(gate)
+    assert passes == []
+    copy = gate.matrix.copy()
+    sy.quantization_report(copy, f, enc, 1e-9)
+    assert la.is_unitary(copy, 1e-9)
+    assert len(passes) == 2 and all(p is copy for p in passes)
+
+
 def test_synthesis_peaks_at_three_matrices():
     """Synthesizing a pauli n=4 gate (256 x 256, 1 MiB) holds P and two
     partial products of the contraction; the copy into immutable bytes is

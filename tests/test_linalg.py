@@ -918,9 +918,10 @@ class TestPermutationSqrt:
 
     def test_frame_route_peaks_at_three_matrices(self):
         """The root of a synthesized pauli n=4 gate (256 x 256, 1 MiB) as
-        W sqrt(P) W^dagger peaks below 3.5 matrices: the rebuild and the
-        contraction each hold their operand and two partial products.  The
-        eigen route, taken on a copy, holds about 7."""
+        W sqrt(P) W^dagger peaks below 2.1 matrices: the contraction holds
+        its operand, sqrt(P), or a partial product, and the next partial
+        product, and nothing rebuilds or splits the gate.  The eigen route,
+        taken on a copy, holds about 7."""
         from qlift import encodings as en
         from qlift import synthesis as sy
 
@@ -934,7 +935,7 @@ class TestPermutationSqrt:
                 peaks.append(tracemalloc.get_traced_memory()[1] / u.nbytes)
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 3.5 < 6.5 <= peaks[1]
+        assert peaks[0] <= 2.1 < 6.5 <= peaks[1]
 
 
 class TestResUnres:
@@ -1300,6 +1301,113 @@ class TestLoneEntries:
         rows, cols = la._lone_entries(a)
         assert np.array_equal(rows, np.arange(171, 200)) and np.array_equal(cols, rows)
         assert_same_lone_entries(a)
+
+
+def assert_same_split(u):
+    """_square's split of u is the reference's lone entries of u."""
+    got, want = la._square(u, "m")[1], reference_lone_entries(np.asarray(u, dtype=complex))
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestSquare:
+    """_square coerces, checks and splits a matrix in one strip pass
+    (_lone_entries), with as_array's errors in as_array's order, then the
+    square check."""
+
+    @pytest.mark.parametrize(
+        "u,message",
+        [
+            (np.ones(3), r"expected a matrix, got shape \(3,\)"),
+            (np.ones((2, 2, 2)), r"expected a matrix, got shape \(2, 2, 2\)"),
+            (np.zeros((0, 3)), "empty matrix"),
+            (np.zeros((0, 0)), "empty matrix"),
+            ([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]], "matrix contains NaN or Inf entries"),
+            (np.array([[0.0, 1.0], [1.0, 0.0], [complex(0.0, -np.inf), 0.0]]), "matrix contains NaN or Inf entries"),
+            (np.eye(2, 3), r"m: shape \(2, 3\) is not square"),
+        ],
+        ids=["ndim-1", "ndim-3", "empty", "empty-square", "nan-non-square", "inf-imaginary-non-square", "non-square"],
+    )
+    def test_error_order(self, u, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            la._square(u, "m")
+        if "square" not in message:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                la.as_array(u, 2)
+
+    def test_finds_a_nan_in_any_strip_and_layout(self):
+        """A 300 x 300 matrix takes three strips; a NaN, in either part, is
+        found in the last one, whether the matrix is C- or Fortran-ordered
+        or a view that holds it, and a view that skips it passes."""
+        a = permutation_matrix(np.random.default_rng(7).permutation(300))
+        for bad in (np.nan, complex(0.0, np.nan)):
+            b = a.copy()
+            b[299, 1] = bad
+            for u in (b, np.asfortranarray(b), b[1:, 1:], b.T, b[::-1, ::-1]):
+                with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+                    la._square(u, "m")
+            assert_same_split(b[:-1, :-1])
+            assert_same_split(b[::2, ::2])
+
+    def test_fortran_and_strided_inputs(self):
+        """The split of a Fortran-ordered matrix, of strided and transposed
+        views and of real and integer input is the reference's, and the
+        coerced matrix is the input's."""
+        rng = np.random.default_rng(8)
+        a = np.where(rng.random((300, 300)) < 0.004, random_complex(rng, (300, 300)), 0)
+        a[rng.permutation(300)[:200], rng.permutation(300)[:200]] = 1.0
+        for u in (a, np.asfortranarray(a), a[::2, ::2], a[1::3, 2::3], a.T, a[::-1], a.real, (a != 0).astype(int)):
+            got, _ = la._square(u, "m")
+            assert got.dtype == np.complex128 and np.array_equal(got, u)
+            assert_same_split(u)
+
+    @given(st.integers(1, 40), st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]), st.sampled_from([0.0, 0.3]),
+           st.integers(0, 2**32 - 1))
+    @example(40, 0.02, 0.3, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_split_matches_the_reference(self, n, density, empty, seed):
+        """TestLoneEntries's random patterns, on square shapes."""
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((n, n)) < density, random_complex(rng, (n, n)), 0)
+        a[rng.random(n) < empty] = 0
+        assert_same_split(a)
+        assert_same_split(np.asfortranarray(a))
+
+    @pytest.mark.parametrize("n", [200, 255, 256, 257])
+    def test_split_at_the_narrow_count_boundary(self, n):
+        """TestLoneEntries's count boundary and wrapped product, square."""
+        rng = np.random.default_rng(n)
+        a = np.zeros((n, n), dtype=complex)
+        a[rng.permutation(n), rng.permutation(n)] = 1.0
+        assert_same_split(a)
+        a[0] = 1.0
+        assert_same_split(a)
+        a[:, -1] = 1j
+        assert_same_split(a)
+        a[:] = 0.0
+        a[:171, 0] = a[0, :3] = 1.0
+        assert_same_split(a)
+
+
+class TestPermutationExit:
+    def test_matches_the_full_computation(self, monkeypatch):
+        """A permutation matrix's unitarity residual, 0.0 from one gather,
+        is the full computation's bit for bit, as with the exit patched
+        off; matrices that are not exactly permutations take the full
+        computation either way."""
+        rng = np.random.default_rng(31)
+        perms = [permutation_matrix(rng.permutation(n)) for n in (1, 2, 5, 64, 300)]
+        near = perms[3].copy()
+        near[near == 1] = [1.0 + 2.0**-52] + [1.0] * 63
+        broken = perms[4][:, ::-1].copy()
+        broken[0, 0] = 0.5
+        cases = perms + [near, 1j * perms[2], -perms[2], 2.0 * perms[2], perms[2] + 1e-3, broken]
+        got = [repr(la._unitarity_residual(*la._square(m, "m"))) for m in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(la, "_permutation", lambda m, split=None: None)
+            full = [repr(la._unitarity_residual(*la._square(m, "m"))) for m in cases]
+        assert got == full
+        # Unimodular multiples of a permutation give 0.0 from the lone route.
+        assert [g == "0.0" for g in got] == [True] * 5 + [False, True, True, False, False, False]
 
 
 # Powers of two scale exactly, so a result scaled back by 2**-e is comparable

@@ -323,8 +323,11 @@ class TestGateRules:
         assert str(err.value) == f"{what}: shape (2, 3) is not square"
 
     def test_square_coerces_and_checks_the_rank_first(self):
-        got = la._square([[1, 2], [3, 4]], "m")
+        got, (rows, cols) = la._square([[1, 2], [3, 4]], "m")
         assert got.dtype == np.complex128 and np.array_equal(got, [[1, 2], [3, 4]])
+        assert len(rows) == len(cols) == 0
+        _, (rows, cols) = la._square([[0, 2], [3j, 0]], "m")
+        assert rows.tolist() == [0, 1] and cols.tolist() == [1, 0]
         with pytest.raises(ValueError, match=r"^expected a matrix, got shape \(3,\)$"):
             la.principal_unitary_sqrt(np.ones(3))
 
