@@ -14,7 +14,10 @@ frame route as built and the eigen route as copies.  The checks corpus
 runs the root, is_unitary and quantization_report on inputs that the
 square-matrix check must reject or split: NaN, Inf, non-square, empty and
 wrongly ranked input, Fortran-ordered and strided layouts, permutations and
-near-permutations, digesting each value or error text.  Two fingerprints
+near-permutations, digesting each value or error text.  The circuits
+corpus runs circuits and apply_gate under every built-in encoding, with
+named, R, array, trace-action tensor and controlled gates, and digests the
+error text of each bad step.  Two fingerprints
 differ only on the routines whose output changed in some bit:
 
     PYTHONPATH=src python scripts/numeric_fingerprint.py > after.txt
@@ -22,22 +25,31 @@ differ only on the routines whose output changed in some bit:
 """
 
 import hashlib
+import math
 
 import numpy as np
 
 from qlift import (
     BUILTIN_ENCODINGS,
+    NAMED_GATES,
+    Circuit,
+    CircuitStep,
     ClassicalFunction,
     Encoding,
     QuantumState,
+    apply_gate,
     builtin_encoding,
     classify_state,
+    controlled,
     encode_bits,
     is_unitary,
+    matrix_to_tensor,
+    named_gate,
     principal_unitary_sqrt,
     quantization_report,
     quantize_irreversible,
     quantize_reversible,
+    run_circuit,
     schmidt,
     svd,
 )
@@ -198,6 +210,72 @@ def check_inputs():
     return out
 
 
+def run_steps(enc, width, steps, bits):
+    return run_circuit(Circuit(enc, width, steps), bits)
+
+
+def circuit_inputs():
+    """(call, *args) for run_steps or apply_gate.  Under each built-in
+    encoding: circuits of 12 random steps at widths 2 and 3 (up to 64
+    amplitudes) over every named gate that fits the ambient dimension d, R
+    at a random angle, random unitaries on one to `width` targets as
+    matrices and as trace-action tensors, and controlled gates where 4 is a power of
+    d; apply_gate on random states; and a good step followed by a bad one:
+    non-square, NaN, non-unitary, a target out of range, repeated or not an
+    integer, the wrong target count, R without an angle, H with one, and two
+    faults in one step.  They come from their own stream, so the other
+    corpora stay as they were."""
+    rng = np.random.default_rng(SEED + 4)
+    out = []
+    for name in BUILTIN_ENCODINGS:
+        enc = builtin_encoding(name)
+        d = enc.ambient_dim
+
+        def random_step(width):
+            """A random gate that fits d and the width, on random targets."""
+            u = random_unitary(rng, d ** int(rng.integers(1, width + 1)))
+            gates = [(u, None), (matrix_to_tensor(u, d, len(u) // d), None), ("R", float(rng.uniform(-4, 4)))]
+            gates += [(g, None) for g in NAMED_GATES] + [(controlled(random_unitary(rng, 2)), None)]
+            fits = []
+            for gate, phi in gates:
+                dim = len(named_gate(gate, enc, phi)) if isinstance(gate, str) else gate.shape[-1]
+                k = round(math.log(dim, d))
+                if d**k == dim and k <= width:
+                    fits.append((gate, phi, k))
+            gate, phi, k = fits[int(rng.integers(len(fits)))]
+            return CircuitStep(gate, tuple(int(t) for t in rng.permutation(width)[:k]), phi)
+
+        for width in (2, 3):
+            if d**width > 64:
+                continue
+            steps = tuple(random_step(width) for _ in range(12))
+            bits = "".join(rng.choice(["0", "1"], size=width))
+            out.append((run_steps, enc, width, steps, bits))
+            for _ in range(3):
+                state = QuantumState(random_complex(rng, d**width), enc, width)
+                step = random_step(width)
+                gate = step.gate if step.phi is None else named_gate("R", enc, step.phi)
+                out.append((apply_gate, state, gate, step.targets))
+        u = random_unitary(rng, d)
+        nan, wide = u.copy(), random_complex(rng, (d, d + 1))
+        nan[0, -1] = np.nan
+        bad = [
+            (wide, (0,)), (nan, (0,)), (2 * u, (0,)), (u, (2,)), (u, (1, 1)), (u, (0.5,)),
+            (random_unitary(rng, d * d), (0,)), (2 * u, (5,)), (wide, (-1,)), (nan, (0, 1)),
+        ]
+        good = CircuitStep(u, (1,))
+        for gate, targets in bad:
+            out.append((run_steps, enc, 2, (good, CircuitStep(gate, targets)), "01"))
+        for step in (CircuitStep("R", (0,)), CircuitStep("H", (0,), 0.3)):
+            out.append((run_steps, enc, 2, (good, step), "10"))
+    return out
+
+
+def circuit_parts(x):
+    call, *args = x
+    return outcome(lambda: [call(*args).amplitudes])
+
+
 def outcome(run):
     """run()'s results, or the text of the ValueError it raises."""
     try:
@@ -236,6 +314,7 @@ def main():
         "quantization_report": (report_inputs(rng), lambda x: [quantization_report(*x)]),
         "classify_state": (state_inputs(rng), lambda x: [classify_state(*x)]),
         "checks": (check_inputs(), check_parts),
+        "circuits": (circuit_inputs(), circuit_parts),
     }
     for name, (inputs, run) in corpora.items():
         print(f"{name} {len(inputs)} {digest(part for x in inputs for part in run(x))}")

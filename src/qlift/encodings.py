@@ -233,7 +233,7 @@ def _layout(enc: Encoding, n: int) -> tuple[np.ndarray, bool, np.ndarray]:
     (j_1 .. j_n) in base d is frame label j, or, under a permutation frame
     sigma, ambient index sum_i sigma[j_i] d^(n-i), in which numbering W = I."""
     d, k = enc.ambient_dim, enc.bit_dim
-    sigma = _permutation(enc.frame)
+    sigma = _permutation(*_square(enc.frame, "encoding frame"))
     digits = (np.arange(d) if sigma is None else sigma)[: 2 * k]
     corner = functools.reduce(lambda a, b: (a[:, None] * d + b).reshape(-1), [digits] * n)
     bit_major = corner.reshape((2, k) * n).transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encodings import BUILTIN_ENCODINGS, Encoding, _bit_strings, _check_bits, builtin_encoding
-from .linalg import as_array
-from .simulator import Circuit, CircuitStep, _check_step, _check_targets
+from .linalg import _square, as_array
+from .simulator import Circuit, CircuitStep, _check_targets
 from .synthesis import NAMED_GATES, ClassicalFunction, _check_arities, _controlled_block, _missing_inputs, named_gate
 
 __all__ = [
@@ -396,9 +396,9 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
 
     diagnostics: list[Diagnostic] = []
     statements: list[Statement] = []
-    # Each distinct gate token is resolved and checked once, read-only; a
-    # repeated token has only its targets checked.  A token that fails is
-    # tried again, so each of its statements gets its diagnostic.
+    # Each distinct gate token is resolved and squared once, read-only, and
+    # every statement has its targets checked.  A token that fails to
+    # resolve is tried again, so each of its statements gets its diagnostic.
     gates: dict[str, np.ndarray] = {}
     for ln, content in lines[2:]:
         (gate_col, gate_tok), *target_toks = _tokens(content)
@@ -411,12 +411,10 @@ def parse_circuit(text: str, base_dir: str | None = None) -> CircuitDocument:
         try:
             matrix = gates.get(gate_tok)
             if matrix is None:
-                matrix = _resolve_gate(gate_tok, enc, base_dir)
-                matrix, _, checked = _check_step(matrix, targets, enc.ambient_dim, width)
+                matrix, _ = _square(_resolve_gate(gate_tok, enc, base_dir), "gate matrix")
                 matrix.setflags(write=False)
                 gates[gate_tok] = matrix
-            else:
-                checked = _check_targets(len(matrix), targets, enc.ambient_dim, width)
+            checked = _check_targets(len(matrix), targets, enc.ambient_dim, width)
         except (ValueError, OSError) as exc:
             diagnostics.append(Diagnostic(ln, gate_col, str(exc)))
             continue

@@ -144,14 +144,13 @@ def _square(u, what: str) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     return a, split
 
 
-def _unitary(a: np.ndarray, split: tuple[np.ndarray, np.ndarray], tol: float, what: str) -> float:
-    """The one gate rule: the unitarity residual of the square matrix a
-    with its _square split (_unitarity_residual), or ValueError naming
-    `what`, the residual and tol when it is not within tol."""
+def _unitary(a: np.ndarray, split: tuple[np.ndarray, np.ndarray], tol: float, what: str) -> None:
+    """The one gate rule: ValueError naming `what`, the residual and tol
+    unless the unitarity residual of the square matrix a with its _square
+    split (_unitarity_residual) is within tol; returns nothing."""
     r = _unitarity_residual(a, split)
     if not r <= tol:
         raise ValueError(f"{what} (residual {r:.3e}, tol {tol:.3e})")
-    return r
 
 
 def _count(value, what: str) -> int:
@@ -230,11 +229,11 @@ def _norm(x: np.ndarray) -> float:
     return _ldexp(float(np.linalg.norm(y)), e)
 
 
-def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray]) -> float:
     """||a^dagger a - I||_F for a square matrix, inf beyond the double range;
     the figure recorded for the very array _framed_permutation built under
     frames, and for a permutation matrix (_permutation) its exact 0.0 at
-    the cost of one gather.  split is a's _square split, or _square's here.
+    the cost of one gather.  split is a's _square split.
 
     A column is lone when it holds a lone entry a_ij (_lone_entries).  It
     meets no other column in a^dagger a and adds (|a_ij|^2 - 1)^2 to the
@@ -258,7 +257,6 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray] | No
     ref, _, _, _, recorded = _FRAMED.get(id(a), (None,) * 5)
     if ref is not None and ref() is a:
         return recorded
-    a, split = _square(a, "unitarity residual") if split is None else (a, split)
     if _permutation(a, split) is not None:
         return 0.0
     rows, lone = split
@@ -329,12 +327,12 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _permutation(m: np.ndarray, split: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray | None:
+def _permutation(m: np.ndarray, split: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
     """The one-line map p of a permutation matrix, m = eye(n)[:, p] (column
     j goes to row p[j]), or None unless the square matrix m is exactly one:
     a lone entry (_lone_entries) in every row, each exactly 1.  split is m's
-    _square split; a bare matrix is split by _square here."""
-    rows, cols = _square(m, "permutation")[1] if split is None else split
+    _square split."""
+    rows, cols = split
     if len(rows) != len(m) or not (m[rows, cols] == 1).all():
         return None
     # Row i's one 1 sits in column cols[i], so p inverts cols.

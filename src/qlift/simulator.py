@@ -58,16 +58,10 @@ class CircuitStep:
         return hash((gate, self.targets, self.phi))
 
 
-def _check_step(gate, targets, d: int, width: int) -> tuple[np.ndarray, tuple, tuple[int, ...]]:
-    """The step rule: a d^k x d^k matrix acts on k distinct integer targets in
-    range(width).  Returns (matrix, its _square split, targets) or raises."""
-    gm, split = _square(gate, "gate matrix")
-    return gm, split, _check_targets(len(gm), targets, d, width)
-
-
 def _check_targets(dim: int, targets, d: int, width: int) -> tuple[int, ...]:
-    """_check_step's rule for the targets of a square matrix of dimension
-    dim that has passed it already: returns the int targets."""
+    """The step rule for the targets of a square gate matrix of dimension
+    dim: a d^k x d^k matrix acts on k distinct integer targets in
+    range(width).  Returns the int targets or raises ValueError."""
     try:
         targets = tuple(map(operator.index, targets))
     except TypeError:
@@ -120,7 +114,8 @@ class Circuit:
             if key not in seen:
                 gate = step.gate if named else _frozen(np.asarray(step.gate, dtype=np.complex128))
                 gm = named_gate(gate, self.encoding, step.phi) if named else gate
-                gm, split, _ = _check_step(tensor_to_matrix(gm) if gm.ndim == 3 else gm, step.targets, d, self.width)
+                gm, split = _square(tensor_to_matrix(gm) if gm.ndim == 3 else gm, "gate matrix")
+                _check_targets(len(gm), step.targets, d, self.width)
                 _unitary(gm, split, _GATE_TOL, f"step {index}: gate matrix is not unitary")
                 seen[key] = gate, _frozen(gm)
             gate, gm = seen[key]

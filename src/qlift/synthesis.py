@@ -159,9 +159,8 @@ class SynthesizedGate:
     source: ClassicalFunction
 
     def __post_init__(self):
-        m, split = _square(self.matrix, "synthesized gate is not unitary")
-        object.__setattr__(self, "matrix", _frozen(m))
-        _unitary(self.matrix, split, _GATE_TOL, "synthesized gate is not unitary")
+        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix, dtype=np.complex128)))
+        _unitary(*_square(self.matrix, "synthesized gate is not unitary"), _GATE_TOL, "synthesized gate is not unitary")
 
 
 def _reversible_matrix(f: ClassicalFunction, enc: Encoding) -> np.ndarray:

@@ -259,8 +259,8 @@ def test_permutation_frames_match_the_dense_paths(enc, n, seed):
     gathered report's residuals those of the contraction, on the gate and a
     Givens-corrupted copy, and the cycle root Q^dagger root(Q P Q^dagger) Q,
     which takes the eigen route."""
-    assert (la._permutation(enc.frame) is None) == (enc.name == "pauli")
-    assert la._permutation(_negated(enc).frame) is None
+    assert (la._permutation(*la._square(enc.frame, "m")) is None) == (enc.name == "pauli")
+    assert la._permutation(*la._square(_negated(enc).frame, "m")) is None
     rng = np.random.default_rng(seed)
     f = sy.ClassicalFunction(n, n, random_bijection_table(rng, n))
     gate = sy.quantize_reversible(f, enc).matrix

@@ -353,6 +353,19 @@ class TestCircuitFormat:
         assert len(matrices) == 10 and all(m is matrices[0] for m in matrices)
         assert not matrices[0].flags.writeable
 
+    def test_a_token_is_resolved_once_after_a_target_diagnostic(self, monkeypatch):
+        """A target error at a token's first statement keeps the resolved
+        gate: the later statements reuse it."""
+        calls = []
+        real = sy.principal_unitary_sqrt
+        monkeypatch.setattr(sy, "principal_unitary_sqrt", lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(qio.ParseError) as err:
+            qio.parse_circuit("encoding qubit\nwidth 1\nSQRT_NOT 5\nSQRT_NOT 0\nSQRT_NOT 0\n")
+        assert [(d.line, d.column, d.message) for d in err.value.diagnostics] == [
+            (3, 1, "target index 5 out of range for width 1")
+        ]
+        assert len(calls) == 1
+
     def test_shared_gate_matrix_checked_once(self, monkeypatch):
         """Ten statements share one matrix: the circuit checks and copies it
         once."""
@@ -368,7 +381,8 @@ class TestCircuitFormat:
         and the circuit built from them two more."""
         calls = []
         real = sim._square
-        monkeypatch.setattr(sim, "_square", lambda *args: calls.append(1) or real(*args))
+        for module in (qio, sim):
+            monkeypatch.setattr(module, "_square", lambda *args: calls.append(1) or real(*args))
         doc = qio.parse_circuit("encoding qubit\nwidth 3\n" + "H 0\nCNOT 1 2\nH 2\n" * 10)
         assert len(calls) == 2
         doc.to_circuit()

@@ -673,7 +673,7 @@ class TestPrincipalSqrt:
         u = random_unitary(rng, 16)
         e = random_complex(rng, (16, 16))
         u = u + 5e-10 * e / np.linalg.norm(e)
-        assert 1e-10 < la._unitarity_residual(u) <= 1e-9
+        assert 1e-10 < la._unitarity_residual(*la._square(u, "m")) <= 1e-9
         w = la.principal_unitary_sqrt(u)
         assert np.linalg.norm(w @ w - u) <= 2e-9
 
@@ -748,8 +748,8 @@ class TestPermutation:
         p = np.random.default_rng(n).permutation(n)
         m = permutation_matrix(p)
         for v in [m, np.asfortranarray(m)]:
-            assert np.array_equal(la._permutation(v), p)
-        assert np.array_equal(la._permutation(m.T), np.argsort(p))
+            assert np.array_equal(la._permutation(*la._square(v, "m")), p)
+        assert np.array_equal(la._permutation(*la._square(m.T, "m")), np.argsort(p))
 
     @pytest.mark.parametrize(
         "entry,value",
@@ -761,19 +761,19 @@ class TestPermutation:
         m = permutation_matrix([1, 0, 3, 2])
         m[entry] = value
         for v in [m, np.asfortranarray(m)]:
-            assert la._permutation(v) is None
+            assert la._permutation(*la._square(v, "m")) is None
 
     def test_repeated_row(self):
         """n ones, one per column, but two in row 0 and none in row 3."""
         m = permutation_matrix([1, 0, 3, 2])
         m[3, 2], m[0, 2] = 0.0, 1.0
         for v in [m, np.asfortranarray(m), m.T, np.asfortranarray(m.T)]:
-            assert np.count_nonzero(v) == 4 and la._permutation(v) is None
+            assert np.count_nonzero(v) == 4 and la._permutation(*la._square(v, "m")) is None
 
     def test_dense_and_zero(self):
-        assert la._permutation(H) is None
-        assert la._permutation(np.zeros((3, 3), dtype=complex)) is None
-        assert la._permutation(np.ones((1, 1), dtype=complex) * 1j) is None
+        assert la._permutation(*la._square(H, "m")) is None
+        assert la._permutation(*la._square(np.zeros((3, 3), dtype=complex), "m")) is None
+        assert la._permutation(*la._square(np.ones((1, 1), dtype=complex) * 1j, "m")) is None
 
     @given(split_specs())
     @example((130, 130, 0, 0, "one", 0, "strided", 0))
@@ -788,14 +788,14 @@ class TestPermutation:
         a = split_matrix(*spec)
         nz = a != 0
         lone = (nz.sum(0) == 1).all() and (nz.sum(1) == 1).all() and (a[nz] == 1).all()
-        p = la._permutation(a)
+        p = la._permutation(*la._square(a, "m"))
         assert (p is not None) == lone
         if lone:
             assert np.array_equal(permutation_matrix(p), a)
 
     def test_residual_of_a_permutation_is_exactly_zero(self):
         m = permutation_matrix(np.random.default_rng(3).permutation(130))
-        assert la._unitarity_residual(m) == 0.0 and la.is_unitary(m, 0.0)
+        assert la._unitarity_residual(*la._square(m, "m")) == 0.0 and la.is_unitary(m, 0.0)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("exponent", [0, 250, -250])
@@ -805,7 +805,7 @@ class TestPermutation:
         rng = np.random.default_rng(n)
         a = random_unitary(rng, n) + 1e-3 * random_complex(rng, (n, n))
         expected = np.linalg.norm(a.conj().T @ a - 4.0**-exponent * np.eye(n)) * 4.0**exponent
-        assert la._unitarity_residual(a * 2.0**exponent) == pytest.approx(expected, rel=1e-12)
+        assert la._unitarity_residual(*la._square(a * 2.0**exponent, "m")) == pytest.approx(expected, rel=1e-12)
 
 
 class TestUnitarityResidual:
@@ -824,7 +824,7 @@ class TestUnitarityResidual:
         or 1, -1, i, -i, with nothing else in the matrix)."""
         n, lone, rows, cols, kind, exponent, _, _ = spec
         a = split_matrix(*spec)
-        got = la._unitarity_residual(a)
+        got = la._unitarity_residual(*la._square(a, "m"))
         b = a * 2.0**-exponent
         expected = np.linalg.norm(b.conj().T @ b - 4.0**-exponent * np.eye(n)) * 4.0**exponent
         if lone == n and kind in ("one", "unit") and exponent == 0:
@@ -1186,7 +1186,7 @@ class TestIsUnitary:
         s = 10.0**exponent
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             assert la.is_unitary(u * s, 1e-9) == (exponent == 0)
-            residual = la._unitarity_residual(u * s)
+            residual = la._unitarity_residual(*la._square(u * s, "m"))
         if exponent != 0:
             assert residual == pytest.approx(abs(s * s - 1.0) * math.sqrt(n), rel=1e-9)
 

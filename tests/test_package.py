@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +77,12 @@ def test_readme_library_use_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {"__name__": "readme_example"})
     assert capsys.readouterr().out.startswith("[0.7071")
+
+
+def test_ab_runs_with_the_repo_as_its_own_parent():
+    """scripts/ab.py on one block of one cli cycle, the repo against
+    itself: both sides run every job and none fails."""
+    script = os.path.join(ROOT, "scripts", "ab.py")
+    argv = ["--parent", ROOT, "--workload", "cli", "--blocks", "1", "--cycles", "1"]
+    out = subprocess.run([sys.executable, script, *argv], capture_output=True, text=True, check=True).stdout
+    assert out.count(", 0 failed jobs") == 2 and "change won" in out

@@ -91,6 +91,13 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="duplicate"):
             sim.apply_gate(s, np.eye(4), (0, 0))
 
+    def test_bad_targets_are_reported_before_unitarity(self):
+        """A step that is not unitary and has a target out of range raises
+        the target error."""
+        step = sim.CircuitStep(np.array([[1, 1], [0, 1]]), (3,))
+        with pytest.raises(ValueError, match=r"^target index 3 out of range for width 2$"):
+            sim.Circuit(QUBIT, 2, (step,))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             sim.apply_gate(en.encode_bits(QUTRIT, "0"), np.eye(2), (0,))

@@ -270,7 +270,7 @@ class TestOneGateTolerance:
     V = 1.000000001 * X
 
     def test_residuals(self):
-        assert 7.0e-10 < la._unitarity_residual(self.U) < 7.1e-10 < 1e-9 < la._unitarity_residual(self.V)
+        assert 7.0e-10 < la._unitarity_residual(*la._square(self.U, "m")) < 7.1e-10 < 1e-9 < la._unitarity_residual(*la._square(self.V, "m"))
 
     def test_controlled_accepts_what_circuit_c_gates_run(self):
         assert np.array_equal(sy.controlled(self.U)[2:, 2:], self.U)
@@ -292,12 +292,12 @@ class TestOneGateTolerance:
         with pytest.raises(ValueError, match="requires a unitary matrix") as root:
             la.principal_unitary_sqrt(self.V)
         # The errors name the residual, 2.828e-09 here, and the tolerance.
-        figures = f"(residual {la._unitarity_residual(self.V):.3e}, tol 1.000e-09)"
+        figures = f"(residual {la._unitarity_residual(*la._square(self.V, 'm')):.3e}, tol 1.000e-09)"
         assert figures == "(residual 2.828e-09, tol 1.000e-09)"
         assert all(str(e.value).endswith(figures) for e in (synthesized, circuit, root))
         with pytest.raises(ValueError, match="requires a unitary matrix") as root:
             la.principal_unitary_sqrt(self.U, tol=1e-10)
-        assert str(root.value).endswith(f"(residual {la._unitarity_residual(self.U):.3e}, tol 1.000e-10)")
+        assert str(root.value).endswith(f"(residual {la._unitarity_residual(*la._square(self.U, 'm')):.3e}, tol 1.000e-10)")
 
 
 class TestGateRules:
@@ -346,7 +346,7 @@ class TestGateRules:
     )
     def test_unitary_sites(self, call, message):
         """||(2I)^dagger (2I) - I||_F = 3 sqrt(2) against the gate tolerance."""
-        assert f"{la._unitarity_residual(2 * np.eye(2)):.3e}" == "4.243e+00"
+        assert f"{la._unitarity_residual(*la._square(2 * np.eye(2), 'm')):.3e}" == "4.243e+00"
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == f"{message} (residual 4.243e+00, tol 1.000e-09)"
