@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""In-process A/B timing of this checkout's qlift against another checkout's.
+"""Bit check and in-process A/B timing of this checkout's qlift against another.
 
-Loads both trees' qlift in one process under different package names, then
-runs the benchmark's own jobs (perfbench's ``jobs.RUNNERS`` over
-``inputs.make_cycle`` cycles) on both trees in alternation: each cycle runs
-on one tree and then the other, which tree first alternating from cycle to
-cycle.  A block of cycles is timed by the time spent inside qlift calls.
-Prints each side's median and quartiles of the block times, the ratio of
-the medians, how many blocks the change won and the jobs that failed on
-each side:
+First the bits: this checkout's numeric_fingerprint.py and cli_transcript.py
+run in subprocesses, once on each tree's src, and one line says both outputs
+are identical, or names the routines whose digests differ and counts the
+transcript lines that differ.  Then it loads both trees' qlift in one process
+under different package names and runs the benchmark's own jobs (perfbench's
+``jobs.RUNNERS`` over ``inputs.make_cycle`` cycles) on both trees in
+alternation: each cycle runs on one tree and then the other, which tree first
+alternating from cycle to cycle.  A block of cycles is timed by the time
+spent inside qlift calls.  Prints each side's median and quartiles of the
+block times, the ratio of the medians, how many blocks the change won and
+the jobs that failed on each side:
 
     python scripts/ab.py --parent ../parent-checkout --workload gates
 
@@ -20,8 +23,10 @@ from the noise of the source text alone.
 import argparse
 import importlib
 import importlib.util
+import itertools
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 
@@ -46,6 +51,23 @@ def load(root: str, name: str):
     spec.loader.exec_module(package)
     importlib.import_module(f"{name}.cli")
     return package
+
+
+def bits(parent: str) -> str:
+    """The bits line: this checkout's fingerprint and transcript scripts,
+    each run without bytecode on the parent's src and then on this tree's."""
+    outs = []
+    for script in ("numeric_fingerprint.py", "cli_transcript.py"):
+        for root in (parent, ROOT):
+            argv = [sys.executable, "-B", os.path.join(ROOT, "scripts", script)]
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+            outs.append(subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines())
+    fp, fc, tp, tc = outs
+    routines = [a.split()[0] for a, b in zip(fp, fc) if a != b]
+    lines = sum(a != b for a, b in itertools.zip_longest(tp, tc))
+    fingerprint = f"differs on {', '.join(routines)}" if routines else "identical"
+    transcript = f"differs on {lines} lines" if lines else "identical"
+    return f"bits: fingerprint {fingerprint}; transcript {transcript}"
 
 
 def run(q, runner, batch) -> tuple[float, int]:
@@ -74,6 +96,7 @@ def main() -> None:
     ap.add_argument("--cycles", type=int, default=4, help="cycles per block")
     args = ap.parse_args()
 
+    print(bits(os.path.abspath(args.parent)), flush=True)
     sides = {"parent": load(args.parent, "qlift_parent"), "change": load(ROOT, "qlift_change")}
     runner = jobs.RUNNERS[args.workload]
     times = {side: [] for side in sides}

@@ -232,19 +232,19 @@ def _norm(x: np.ndarray) -> float:
 def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray]) -> float:
     """||a^dagger a - I||_F for a square matrix, inf beyond the double range;
     the figure recorded for the very array _framed_permutation built under
-    frames, and for a permutation matrix (_permutation) its exact 0.0 at
-    the cost of one gather.  split is a's _square split.
+    frames.  split is a's _square split.
 
     A column is lone when it holds a lone entry a_ij (_lone_entries).  It
     meets no other column in a^dagger a and adds (|a_ij|^2 - 1)^2 to the
-    squared residual, which is exactly 0 for an entry 1.  The Gram matrix
-    is formed only over the other columns, b: a itself when no column is
-    lone, else a copy of those columns, with no rows dropped, since b is
-    zero on the rows of lone entries.  Of that Gram matrix only the upper
-    block triangle is formed, _GRAM_STRIP columns of b at a time against
-    those from the strip on: the strip's diagonal block counts once and the
-    block beyond it twice.  Norms are combined with math.hypot, as their
-    squares could overflow.
+    squared residual, which is exactly 0 for an entry 1: a permutation
+    matrix, whose columns are all lone, reads 0.0.  The Gram matrix is
+    formed only over the other columns, b: a itself when no column is lone,
+    else a copy of those columns, with no rows dropped, since b is zero on
+    the rows of lone entries.  Of that Gram matrix only the upper block
+    triangle is formed, _GRAM_STRIP columns of b at a time against those
+    from the strip on: the strip's diagonal block counts once and the block
+    beyond it twice.  Norms are combined with math.hypot, as their squares
+    could overflow.
 
     A largest entry of 2**e with e above _GRAM_EXP is scaled by 2**-k, k =
     e - _GRAM_EXP, first: then a^dagger a - I = 4**k (c^dagger c - 4**-k I)
@@ -257,8 +257,6 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray]) -> 
     ref, _, _, _, recorded = _FRAMED.get(id(a), (None,) * 5)
     if ref is not None and ref() is a:
         return recorded
-    if _permutation(a, split) is not None:
-        return 0.0
     rows, lone = split
     single = abs(a[rows, lone])
     # b holds the cols columns that are not lone: all of a, none of it, or
@@ -428,11 +426,12 @@ def _kron_apply(mats, x) -> np.ndarray:
 
 def _off_diagonal(w: np.ndarray) -> float:
     """Largest |w_i^dagger w_j| / (||w_i|| ||w_j||) over pairs of nonzero
-    columns: the figure the Jacobi skip test holds to _JACOBI_TOL."""
+    columns, the figure the Jacobi skip test holds to _JACOBI_TOL: a column
+    whose squared norm reads 0 has its norm read as inf, so its ratios are 0."""
     gram = np.abs(w.conj().T @ w)
     d = np.sqrt(np.diag(gram))
-    live = d > 0.0
-    ratio = gram[np.ix_(live, live)] / np.outer(d[live], d[live])
+    d[d == 0.0] = np.inf
+    ratio = gram / np.outer(d, d)
     np.fill_diagonal(ratio, 0.0)
     return float(ratio.max(initial=0.0))
 
@@ -620,27 +619,26 @@ def _cycle_root_column(length: int) -> np.ndarray:
 
 def _permutation_sqrt(p: np.ndarray) -> np.ndarray:
     """Principal square root of the permutation matrix eye(n)[:, p], cycle
-    by cycle (_cycle_root_column): the circulant block of all cycles of one
-    length, fixed points included, is one strided view scattered at once."""
+    by cycle (_cycle_root_column): fixed points' blocks, exactly 1, in one
+    write, each other cycle walked over p's list from its least element,
+    below its image, and each length's blocks scattered as one strided view."""
     n = len(p)
-    # Pointer jumping: after round t, low[j] is the least element among the
-    # first 2**(t+1) of j's orbit, and jumps[t] is p applied 2**t times.
-    low, jumps = np.arange(n), [p]
-    for _ in range((n - 1).bit_length()):
-        low = np.minimum(low, low[jumps[-1]])
-        jumps.append(jumps[-1][jumps[-1]])
-    leaders = np.flatnonzero(low == np.arange(n))
-    lengths = np.bincount(low, minlength=n)[leaders]
     out = np.zeros((n, n), dtype=np.complex128)
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        # Row i lists one cycle from its least element on: orbit[i, t] is
-        # p applied t times to it.  The orbit doubles in width each step.
-        orbit = leaders[lengths == length][:, None]
-        for jump in jumps:
-            if orbit.shape[1] >= length:
-                break
-            orbit = np.hstack([orbit, jump[orbit]])
-        orbit = orbit[:, :length]
+    i = np.arange(n)
+    np.fill_diagonal(out, p == i)
+    step, seen, orbits = p.tolist(), set(), {}
+    for start in np.flatnonzero(p > i).tolist():
+        if start not in seen:
+            cycle, j = [start], step[start]
+            while j != start:
+                cycle.append(j)
+                j = step[j]
+            seen.update(cycle)
+            orbits.setdefault(len(cycle), []).append(cycle)
+    for length, cycles in orbits.items():
+        # Row k lists one cycle from its least element on: orbit[k, t] is
+        # p applied t times to it.
+        orbit = np.array(cycles)
         # Entry (a, b) of the block, r[(a - b) % length], read from r twice over.
         r = np.concatenate([_cycle_root_column(length)] * 2)
         block = np.ndarray((length, length), r.dtype, r, length * r.itemsize, (r.itemsize, -r.itemsize))

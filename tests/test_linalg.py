@@ -866,6 +866,17 @@ def closed_form_cycle_root(length):
     return np.array(out)
 
 
+def gate_map(encoding, n):
+    """The one-line map of the permutation gate synthesized under a built-in
+    encoding from a seeded random reversible function of n bits."""
+    from qlift import encodings as en
+    from qlift import synthesis as sy
+
+    image = np.random.default_rng(0).permutation(2**n)
+    u = sy.quantize_reversible(sy.ClassicalFunction._from_image(n, n, image), en.builtin_encoding(encoding)).matrix
+    return la._permutation(*la._square(u, "m")).tolist()
+
+
 class TestPermutationSqrt:
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 31, 64, 255, 256])
     def test_cycle_block_matches_closed_form(self, length):
@@ -896,6 +907,10 @@ class TestPermutationSqrt:
 
     @given(st.permutations(range(12)) | st.integers(1, 40).flatmap(lambda n: st.permutations(range(n))))
     @example([0, 4, 6, 3, 1, 8, 7, 2, 5, 10, 11, 9])
+    @example(gate_map("qutrit", 5))  # 212 fixed points of 243
+    @example(gate_map("ququart", 4))  # each cycle of the function 16 times
+    @example(gate_map("qubit", 8))
+    @example(list(range(256)))
     @settings(max_examples=100, deadline=None)
     def test_matches_cycle_by_cycle_loop(self, p):
         """The vectorized scatter equals a loop that walks each cycle from
@@ -1389,11 +1404,12 @@ class TestSquare:
 
 
 class TestPermutationExit:
-    def test_matches_the_full_computation(self, monkeypatch):
-        """A permutation matrix's unitarity residual, 0.0 from one gather,
-        is the full computation's bit for bit, as with the exit patched
-        off; matrices that are not exactly permutations take the full
-        computation either way."""
+    def test_matches_the_full_computation(self):
+        """A permutation matrix's unitarity residual is exactly 0.0 from the
+        lone-column route, with no permutation exit: each column holds one
+        lone entry 1.  So does a unimodular multiple of one; a matrix off a
+        permutation by an entry's last bit, a scale or a dense part does
+        not."""
         rng = np.random.default_rng(31)
         perms = [permutation_matrix(rng.permutation(n)) for n in (1, 2, 5, 64, 300)]
         near = perms[3].copy()
@@ -1402,10 +1418,6 @@ class TestPermutationExit:
         broken[0, 0] = 0.5
         cases = perms + [near, 1j * perms[2], -perms[2], 2.0 * perms[2], perms[2] + 1e-3, broken]
         got = [repr(la._unitarity_residual(*la._square(m, "m"))) for m in cases]
-        with monkeypatch.context() as patch:
-            patch.setattr(la, "_permutation", lambda m, split=None: None)
-            full = [repr(la._unitarity_residual(*la._square(m, "m"))) for m in cases]
-        assert got == full
         # Unimodular multiples of a permutation give 0.0 from the lone route.
         assert [g == "0.0" for g in got] == [True] * 5 + [False, True, True, False, False, False]
 

@@ -81,8 +81,10 @@ def test_readme_library_use_runs(capsys):
 
 def test_ab_runs_with_the_repo_as_its_own_parent():
     """scripts/ab.py on one block of one cli cycle, the repo against
-    itself: both sides run every job and none fails."""
+    itself: the fingerprint and the transcript are identical, and both
+    sides run every job and none fails."""
     script = os.path.join(ROOT, "scripts", "ab.py")
     argv = ["--parent", ROOT, "--workload", "cli", "--blocks", "1", "--cycles", "1"]
     out = subprocess.run([sys.executable, script, *argv], capture_output=True, text=True, check=True).stdout
+    assert out.startswith("bits: fingerprint identical; transcript identical\n")
     assert out.count(", 0 failed jobs") == 2 and "change won" in out
