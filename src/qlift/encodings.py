@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+# _bit_strings caches all 2**n strings for n up to this.
+_CACHED_BITS = 12
 
 
 def _as_basis(vectors, dim: int) -> list[np.ndarray]:
@@ -60,10 +62,21 @@ def _check_bits(bits: str, length: int | None = None, what: str = "input") -> No
         raise ValueError(f"{what} must be a {kind}, got {bits!r}")
 
 
-def _bit_strings(n: int, indices=None) -> list[str]:
-    """The n-bit strings of `indices` (by default all 2**n in index order):
-    index i in binary, most significant bit first."""
-    return [format(i, f"0{n}b") for i in (range(2**n) if indices is None else indices)]
+def _bit_strings(n: int, indices=None) -> tuple[str, ...] | list[str]:
+    """The n-bit strings of `indices` as a list, or all 2**n in index order
+    as a tuple: index i in binary, most significant bit first.  The tuple
+    for n <= _CACHED_BITS is built once and shared, so the cache pins at
+    most 2 * 2**_CACHED_BITS strings, about 0.6 MB; a larger n builds its
+    tuple on every call, at a cost of the order of a table of 2**n rows."""
+    if indices is None:
+        return _all_bit_strings(n) if n <= _CACHED_BITS else tuple(_bit_strings(n, range(2**n)))
+    return [format(i, f"0{n}b") for i in indices]
+
+
+@functools.lru_cache(maxsize=None)
+def _all_bit_strings(n: int) -> tuple[str, ...]:
+    """_bit_strings(n) for n <= _CACHED_BITS, built on the first call."""
+    return tuple(_bit_strings(n, range(2**n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +313,7 @@ def classify_state(enc: Encoding, s: QuantumState, tol: float) -> StateClassific
     psi = s.normalized()
     coeffs = psi if aligned else _kron_apply([enc.frame.conj().T] * n, psi)
     weights = np.bincount(group, np.abs(coeffs) ** 2, minlength=2**n + 1)
-    best = int(np.argmax(weights[:-1]))
+    best = int(weights[:-1].argmax())
     if weights[:best].sum() + weights[best + 1 :].sum() <= tol:
         return StateClassification(StateKind.LOGICAL, _bit_strings(n, [best])[0])
     if weights[-1] > tol:

@@ -52,6 +52,8 @@ _GRAM_EXP = 200
 # Columns per strip of the Gram matrix in _unitarity_residual: at dimension
 # 1024 a strip takes at most 1 MiB where the whole Gram matrix takes 16.
 _GRAM_STRIP = 64
+# Entries per strip of _lone_entries' pass: 512 KiB of a complex matrix.
+_STRIP = 2**15
 
 # The one gate tolerance: a matrix is unitary enough to be a gate (in
 # synthesis, circuits, roots and enumeration) when ||m^dagger m - I||_F <= it.
@@ -300,24 +302,34 @@ def _unitarity_residual(a: np.ndarray, split: tuple[np.ndarray, np.ndarray]) -> 
 def _lone_entries(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the lone entries of a nonempty complex128 matrix, in
     row order: nonzero entries alone in both their row and their column.
-    One pass over row strips of 2**15 entries checks each for NaN and Inf
-    and, while it is in cache, writes its part of the mask a != 0 (an
-    entry's two part flags read as one uint16), whose row and column counts
-    sum its uint8 view in the narrowest type that holds max(shape)."""
-    nz = np.empty(a.shape, dtype=bool)
-    h = max(1, 2**15 // a.shape[1])
-    for i in range(0, len(a), h):
-        f = np.ascontiguousarray(a[i : i + h]).view(np.float64)
-        if not np.isfinite(f).all():
-            raise ValueError("matrix contains NaN or Inf entries")
-        np.not_equal((f != 0.0).view(np.uint16), 0, out=nz[i : i + h])
+    One pass checks for NaN and Inf and writes the mask a != 0
+    (_nonzero_parts): a matrix of at most _STRIP entries in one piece, with
+    no loop, and a larger one strip by strip, each of about _STRIP entries
+    and written while it is in cache.  The row and column counts sum the
+    mask's uint8 view in uint16, which holds max(shape) <= _STRIP, for one
+    piece, and for strips in the narrowest type that holds max(shape)."""
+    if a.size <= _STRIP:
+        nz, count = _nonzero_parts(a) != 0, np.uint16
+    else:
+        nz, count = np.empty(a.shape, dtype=bool), np.min_scalar_type(max(a.shape))
+        h = max(1, _STRIP // a.shape[1])
+        for i in range(0, len(a), h):
+            np.not_equal(_nonzero_parts(a[i : i + h]), 0, out=nz[i : i + h])
     # col[i] is row i's first nonzero column, lone when alone in both.
     col = nz.argmax(1)
     ones = nz.view(np.uint8)
-    count = np.min_scalar_type(max(a.shape))
-    rows = np.flatnonzero(ones.sum(1, dtype=count) == 1)
+    rows = (ones.sum(1, dtype=count) == 1).nonzero()[0]
     rows = rows[ones.sum(0, dtype=count)[col[rows]] == 1]
     return rows, col[rows]
+
+
+def _nonzero_parts(a: np.ndarray) -> np.ndarray:
+    """a's two part flags != 0 per entry, read as one uint16, or ValueError
+    if a holds NaN or Inf."""
+    f = np.ascontiguousarray(a).view(np.float64)
+    if not np.isfinite(f).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    return (f != 0.0).view(np.uint16)
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -334,7 +346,7 @@ def _permutation(m: np.ndarray, split: tuple[np.ndarray, np.ndarray]) -> np.ndar
     if len(rows) != len(m) or not (m[rows, cols] == 1).all():
         return None
     # Row i's one 1 sits in column cols[i], so p inverts cols.
-    return np.argsort(cols)
+    return cols.argsort()
 
 
 def _framed_permutation(image: np.ndarray, frames) -> np.ndarray:
@@ -625,9 +637,9 @@ def _permutation_sqrt(p: np.ndarray) -> np.ndarray:
     n = len(p)
     out = np.zeros((n, n), dtype=np.complex128)
     i = np.arange(n)
-    np.fill_diagonal(out, p == i)
+    out.reshape(-1)[:: n + 1] = p == i
     step, seen, orbits = p.tolist(), set(), {}
-    for start in np.flatnonzero(p > i).tolist():
+    for start in (p > i).nonzero()[0].tolist():
         if start not in seen:
             cycle, j = [start], step[start]
             while j != start:

@@ -13,6 +13,7 @@ enumerate every 0/1 permutation matrix that does.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -73,12 +74,17 @@ def _missing_inputs(arity: int, inputs) -> tuple[list[str], int]:
 @dataclass(frozen=True)
 class ClassicalFunction:
     """Total truth table f: {0,1}^m -> {0,1}^n.  The read-only `image[i]` is
-    the output of the i-th input, both read as binary numbers (_bit_strings)."""
+    the output of the i-th input, both read as binary numbers (_bit_strings),
+    and `is_reversible` whether f is a bijection with equal arities; both
+    are computed once, when f is built.  The outputs are checked in one
+    batch; only a table that fails it takes the check entry by entry, in
+    the table's order, whose first bad output words the ValueError."""
 
     arity_in: int
     arity_out: int
     table: dict[str, str]
     image: np.ndarray = field(init=False, repr=False, compare=False)
+    is_reversible: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, n = _check_arities(self.arity_in, self.arity_out)
@@ -91,12 +97,19 @@ class ClassicalFunction:
             parts = [f"missing inputs {missing}" + (f" and {more} more" if more else "")] if missing else []
             parts += [f"unexpected inputs {extra}"] if extra else []
             raise ValueError("truth table is not total: " + ", ".join(parts))
-        for k, v in self.table.items():
-            _check_bits(v, n, f"output for {k}")
+        outputs = [self.table[x] for x in inputs]
+        try:
+            joined = "".join(outputs)
+        except TypeError:  # an output that is not a str
+            joined = None
+        if joined is None or set(map(len, outputs)) != {n} or joined.count("0") + joined.count("1") != len(joined):
+            for k, v in self.table.items():
+                _check_bits(v, n, f"output for {k}")
         object.__setattr__(self, "table", dict(self.table))
-        image = np.array([int(self.table[x], 2) for x in inputs], dtype=np.intp)
+        image = np.array([int(y, 2) for y in outputs], dtype=np.intp)
         image.setflags(write=False)
         object.__setattr__(self, "image", image)
+        object.__setattr__(self, "is_reversible", m == n and len(set(outputs)) == len(outputs))
 
     def __hash__(self):
         return hash((self.arity_in, self.arity_out, self.image.tobytes()))
@@ -105,14 +118,17 @@ class ClassicalFunction:
         _check_bits(bits, self.arity_in)
         return self.table[bits]
 
-    @property
-    def is_reversible(self) -> bool:
-        return self.arity_in == self.arity_out and len(set(self.image.tolist())) == self.image.size
+    @functools.cached_property
+    def _closure(self) -> "ClassicalFunction":
+        """reversible_closure(self), built on first use and held here."""
+        m, n = self.arity_in, self.arity_out
+        x, y = np.divmod(np.arange(2 ** (m + n)), 2**n)
+        return ClassicalFunction._from_image(m + n, m + n, x << n | (self.image[x] ^ y))
 
     @classmethod
     def _from_image(cls, arity_in: int, arity_out: int, image) -> "ClassicalFunction":
-        outputs = _bit_strings(arity_out)
-        return cls(arity_in, arity_out, dict(zip(_bit_strings(arity_in), (outputs[y] for y in image))))
+        outputs = map(_bit_strings(arity_out).__getitem__, np.asarray(image).tolist())
+        return cls(arity_in, arity_out, dict(zip(_bit_strings(arity_in), outputs)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "ClassicalFunction":
@@ -143,10 +159,10 @@ def compose(f: ClassicalFunction, g: ClassicalFunction) -> ClassicalFunction:
 
 
 def reversible_closure(f: ClassicalFunction) -> ClassicalFunction:
-    """The bijection (x, y) -> (x, f(x) xor y) on m+n bits."""
-    m, n = f.arity_in, f.arity_out
-    x, y = np.divmod(np.arange(2 ** (m + n)), 2**n)
-    return ClassicalFunction._from_image(m + n, m + n, x << n | (f.image[x] ^ y))
+    """The bijection (x, y) -> (x, f(x) xor y) on m+n bits: built once per
+    f and held on it, so every call on f, such as quantize_irreversible's
+    and each quantization_report's, returns that same function."""
+    return f._closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +330,7 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     if not aligned:
         frames = [enc.frame.conj().T] * n + [enc.frame.T] * n
         c = _kron_apply(frames, scaled.reshape(-1)).reshape(dim, dim)
-    target = np.append(g.image, 2**n)[group]
+    target = np.concatenate((g.image, [2**n]))[group]
     leak = np.zeros(dim)
     free = np.ones(dim, dtype=bool)  # the columns that are not lone
     if aligned:
@@ -342,9 +358,13 @@ def quantization_report(u, f: ClassicalFunction, enc: Encoding, tol: float) -> Q
     if e:
         residuals = [_ldexp(res, e) for res in residuals]
     bits = _bit_strings(n)
-    checks = [SubspaceCheck(x, bits[y], res, res <= tol) for x, y, res in zip(bits, g.image, residuals)]
+    # Each check's fields are set as SubspaceCheck's __init__ sets them, in
+    # field order, without a call of that __init__ per check.
+    checks = tuple(map(object.__new__, itertools.repeat(SubspaceCheck, len(bits))))
+    for check, x, y, res in zip(checks, bits, g.image.tolist(), residuals):
+        check.__dict__.update(bits_in=x, bits_out=bits[y], residual=res, ok=res <= tol)
     comp_res = residuals[-1] if enc.fixed.shape[1] else None
-    return QuantizationReport(unit_res <= tol, unit_res, tuple(checks), comp_res, tol)
+    return QuantizationReport(unit_res <= tol, unit_res, checks, comp_res, tol)
 
 
 def is_quantization_of(u, f: ClassicalFunction, enc: Encoding, tol: float) -> bool:

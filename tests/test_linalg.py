@@ -1289,12 +1289,12 @@ class TestLoneEntries:
         assert_same_lone_entries(np.asfortranarray(a))
 
     @pytest.mark.parametrize(
-        "shape", [(255, 255), (256, 256), (257, 257), (255, 3), (3, 256), (256, 1), (1, 256), (300, 256)]
+        "shape", [(255, 255), (256, 256), (257, 257), (255, 3), (3, 256), (256, 1), (1, 256), (300, 256), (1, 257), (257, 2)]
     )
     def test_at_the_narrow_count_boundary(self, shape):
         """Counts up to 255 fit uint8 and 256 needs uint16 (a count of 257
         would wrap to 1 in uint8): a full row and a full column next to
-        lone entries."""
+        lone entries, in strips and, up to 2**15 entries, in one piece."""
         rows, cols = shape
         rng = np.random.default_rng(rows * 1000 + cols)
         a = np.zeros(shape, dtype=complex)
@@ -1401,6 +1401,66 @@ class TestSquare:
         a[:] = 0.0
         a[:171, 0] = a[0, :3] = 1.0
         assert_same_split(a)
+
+    # Just under, at and over _STRIP = 2**15 entries: 181 x 181 and 128 x 256
+    # take one piece, 182 x 182 and 1 x 32769 the strips.
+    BOUNDARY_SHAPES = [(181, 181), (128, 256), (182, 182), (1, 32769)]
+
+    @staticmethod
+    def boundary_layouts(shape, bad=None, at=None):
+        """A sparse matrix of `shape` with lone entries and, unless it has
+        one row, a half-full row and a two-entry column, optionally with
+        `bad` at entry `at`, as a C- and a Fortran-ordered array, a strided
+        view and a reversed view."""
+        rows, cols = shape
+        rng = np.random.default_rng(rows * cols)
+        a = np.zeros(shape, dtype=complex)
+        k = min(shape)
+        a[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = random_complex(rng, k)
+        if rows > 1:
+            a[-1, : cols // 2] = 1.0
+            a[:2, -1] = 1j
+        if bad is not None:
+            a[at] = bad
+        strided = np.zeros((2 * rows, 2 * cols), dtype=complex)
+        strided[::2, ::2] = a
+        reversed_ = a[::-1, ::-1].copy()[::-1, ::-1]
+        return [a, np.asfortranarray(a), strided[::2, ::2], reversed_]
+
+    @pytest.mark.parametrize("shape", BOUNDARY_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_one_piece_and_strips_split_alike_at_the_boundary(self, shape, monkeypatch):
+        """The same matrix gives the reference's split whether the pass
+        takes it in one piece or in strips: _STRIP moved to either side of
+        its size flips the path."""
+        size = shape[0] * shape[1]
+        for u in self.boundary_layouts(shape):
+            assert u.shape == shape
+            splits = []
+            for strip in (la._STRIP, size - 1 if size <= la._STRIP else size):
+                monkeypatch.setattr(la, "_STRIP", strip)
+                splits.append(la._lone_entries(u))
+            monkeypatch.undo()
+            want = reference_lone_entries(u)
+            for got in splits:
+                assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+            assert len(want[0]) and (len(want[0]) < shape[0] or shape[0] == 1)  # lone and not
+            if shape[0] == shape[1]:
+                assert_same_split(u)
+
+    @pytest.mark.parametrize("shape", BOUNDARY_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)],
+                             ids=["nan-real", "inf-real", "nan-imag", "inf-imag"])
+    @pytest.mark.parametrize("at", [(0, 0), (-1, -1)], ids=["first", "last"])
+    def test_nan_or_inf_at_either_end_reads_alike_on_both_paths(self, shape, bad, at, monkeypatch):
+        """A NaN or Inf in either part, at the first or the last entry, gives
+        the one NaN/Inf text on both paths, before the square check."""
+        size = shape[0] * shape[1]
+        for u in self.boundary_layouts(shape, bad, at):
+            for strip in (la._STRIP, size - 1 if size <= la._STRIP else size):
+                monkeypatch.setattr(la, "_STRIP", strip)
+                with pytest.raises(ValueError, match="^matrix contains NaN or Inf entries$"):
+                    la._square(u, "m")
+            monkeypatch.undo()
 
 
 class TestPermutationExit:

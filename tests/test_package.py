@@ -88,3 +88,17 @@ def test_ab_runs_with_the_repo_as_its_own_parent():
     out = subprocess.run([sys.executable, script, *argv], capture_output=True, text=True, check=True).stdout
     assert out.startswith("bits: fingerprint identical; transcript identical\n")
     assert out.count(", 0 failed jobs") == 2 and "change won" in out
+
+
+def test_ab_sites_run_with_the_repo_as_its_own_parent():
+    """scripts/ab.py --sites for one block, the repo against itself: the
+    bits line, then one line per named call site with both sides' medians
+    and the ratio."""
+    script = os.path.join(ROOT, "scripts", "ab.py")
+    argv = ["--parent", ROOT, "--sites", "--blocks", "1"]
+    out = subprocess.run([sys.executable, script, *argv], capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[:2] == ["bits: fingerprint identical; transcript identical", "sites: 1 blocks, per-call times"]
+    sites = [line.split(":")[0] for line in lines[2:]]
+    assert "report ququart n=5" in sites and "quantize_irreversible qubit 3->2" in sites and len(sites) == 14
+    assert all("parent median" in line and "change/parent" in line for line in lines[2:])

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,50 @@ class TestClassicalFunction:
     def test_compose_rejects_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity mismatch"):
             sy.compose(NEGATION, sy.ClassicalFunction.identity(2))
+
+    @pytest.mark.parametrize(
+        "bad,shown",
+        [("1", "'1'"), ("011", "'011'"), ("0a", "'0a'"), ("0 ", "'0 '"), ("", "''"), (1, "1"), (b"01", "b'01'")],
+        ids=["short", "long", "letter", "space", "empty", "int", "bytes"],
+    )
+    def test_first_bad_output_words_the_error(self, bad, shown):
+        """The batch check finds a bad output and the entry-by-entry check
+        words it: the input, the length expected and the output's repr."""
+        table = {"00": "01", "01": bad, "10": "00", "11": "11"}
+        message = f"output for 01 must be a bit string of length 2, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sy.ClassicalFunction(2, 2, table)
+
+    def test_later_bad_outputs_are_not_named(self):
+        """The first bad output in the table's own order, not in index
+        order, words the error; the bad outputs after it are not named."""
+        table = {"11": "00", "10": "2", "01": "", "00": 0}
+        with pytest.raises(ValueError, match=r"^output for 10 must be a bit string of length 2, got '2'$"):
+            sy.ClassicalFunction(2, 2, table)
+
+    def test_is_reversible_is_computed_once_as_a_field(self):
+        f = sy.ClassicalFunction(2, 2, {"00": "01", "01": "00", "10": "11", "11": "10"})
+        assert f.is_reversible is True and "is_reversible" in {x.name for x in dataclasses.fields(f)}
+        assert sy.ClassicalFunction(2, 2, {"00": "01", "01": "01", "10": "11", "11": "10"}).is_reversible is False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.is_reversible = False
+
+    def test_bit_strings_are_one_immutable_tuple_per_n(self):
+        """The cached strings are a tuple that every call shares and no
+        caller can change; beyond the cache an equal tuple is built anew,
+        and listed indices still give a list."""
+        first = en._bit_strings(3)
+        assert first == ("000", "001", "010", "011", "100", "101", "110", "111")
+        assert en._bit_strings(3) is first
+        with pytest.raises(TypeError):
+            first[0] = "111"
+        copy = list(first)
+        copy[0] = "111"
+        assert en._bit_strings(3) == ("000", "001", "010", "011", "100", "101", "110", "111")
+        n = en._CACHED_BITS + 1
+        assert en._bit_strings(n) == tuple(format(i, f"0{n}b") for i in range(2**n))
+        assert en._bit_strings(n) is not en._bit_strings(n)
+        assert en._bit_strings(3, [5, 0]) == ["101", "000"]
 
     def test_image_is_read_only_integer_table(self):
         assert CONDITIONAL_NOT.image.tolist() == [0, 1, 3, 2]
@@ -187,6 +232,57 @@ class TestQuantizeReversible:
         comp = en.fixed_complement(QUTRIT, 2)
         assert np.array_equal(gate @ comp, comp)
         assert sy.is_quantization_of(gate, f2, QUTRIT, 1e-9)
+
+
+class TestFixedCosts:
+    def test_irreversible_job_builds_the_closure_once(self, monkeypatch):
+        """quantize_irreversible and reports on the gate and on a corrupted
+        copy share one closure, held on f: one ClassicalFunction is built
+        after f, and reversible_closure returns it on every call."""
+        f = sy.ClassicalFunction(3, 2, {format(i, "03b"): format(i * 5 % 4, "02b") for i in range(8)})
+        built = []
+        post_init = sy.ClassicalFunction.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(sy.ClassicalFunction, "__post_init__", counted)
+        gate = sy.quantize_irreversible(f, QUBIT).matrix
+        bad = gate.copy()
+        bad[:, [0, 1]] = bad[:, [1, 0]]
+        good_report = sy.quantization_report(gate, f, QUBIT, 1e-9)
+        bad_report = sy.quantization_report(bad, f, QUBIT, 1e-9)
+        assert good_report.ok and not bad_report.ok
+        assert len(built) == 1 and sy.reversible_closure(f) is built[0] and sy.reversible_closure(f) is built[0]
+        closure = [x << 2 | (f.image[x] ^ y) for x in range(8) for y in range(4)]
+        assert built[0] == sy.ClassicalFunction._from_image(5, 5, closure)
+
+    def test_report_checks_are_those_the_constructor_builds(self):
+        """A qubit n=8 report's checks equal, field for field and in their
+        texts, checks built by SubspaceCheck's own __init__, on the gate and
+        on a copy whose columns 0 and 1 are swapped."""
+        rng = np.random.default_rng(33)
+        f = sy.ClassicalFunction(8, 8, random_bijection_table(rng, 8))
+        gate = sy.quantize_reversible(f, QUBIT).matrix
+        bad = gate.copy()
+        bad[:, [0, 1]] = bad[:, [1, 0]]
+        for u, leaking in ((gate, ()), (bad, (0, 1))):
+            report = sy.quantization_report(u, f, QUBIT, 1e-9)
+            want = tuple(
+                sy.SubspaceCheck(format(x, "08b"), format(y, "08b"), float(x in leaking), x not in leaking)
+                for x, y in enumerate(f.image.tolist())
+            )
+            got = report.subspace_checks
+            assert type(got) is tuple and all(type(c) is sy.SubspaceCheck for c in got)
+            assert got == want and [hash(c) for c in got] == [hash(c) for c in want]
+            assert [list(vars(c).items()) for c in got] == [list(vars(c).items()) for c in want]
+            assert [repr(c) for c in got] == [repr(c) for c in want]
+            assert [c.describe() for c in got] == [c.describe() for c in want]
+            assert report.failures() == dataclasses.replace(report, subspace_checks=want).failures()
+            assert len(report.failures()) == len(leaking)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got[0].ok = False
 
 
 class TestQuantizeIrreversible:
